@@ -25,6 +25,7 @@
 //! surfaced-and-reported rdtscp fallback where perf is unavailable).
 
 use lbmf_pmu::{PmuReading, PmuSession};
+use lbmf_trace::json::{obj, Json};
 use std::fmt::Display;
 use std::io::Write as _;
 use std::time::{Duration, Instant};
@@ -65,58 +66,59 @@ pub struct BenchResult {
     pub pmu: Option<PmuReading>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn round3(x: f64) -> f64 {
+    (x * 1e3).round() / 1e3
 }
 
-/// Render a [`PmuReading`] as one JSON object — the `pmu` block of both
-/// the JSONL stream and `BENCH_<n>.json` schema v3. Optional counters
-/// are omitted (not null) when the host's PMU lacks them; the
-/// `degraded_reason` key is present exactly when the source is `tsc`.
-pub fn pmu_to_json(r: &PmuReading) -> String {
-    let mut out = format!(
-        "{{\"source\":\"{}\",\"ops\":{},\"cycles_per_op\":{:.3}",
-        r.source.name(),
-        r.ops,
-        r.cycles_per_op
-    );
-    let mut opt = |key: &str, v: Option<f64>, prec: usize| {
+fn round6(x: f64) -> f64 {
+    (x * 1e6).round() / 1e6
+}
+
+/// Render a [`PmuReading`] as one JSON object — the `pmu` block of the
+/// JSONL stream, of `BENCH_<n>.json` schema v3 and of `lbmf-pmu/1`.
+/// Optional counters are omitted (not null) when the host's PMU lacks
+/// them; the `degraded_reason` key is present exactly when the source is
+/// `tsc`. `cycles_per_op` keeps 3 decimals, the other ratios 6.
+pub fn pmu_to_json(r: &PmuReading) -> Json {
+    let mut fields = vec![
+        ("source", Json::Str(r.source.name().to_string())),
+        ("ops", Json::Num(r.ops as f64)),
+        ("cycles_per_op", Json::Num(round3(r.cycles_per_op))),
+    ];
+    let mut opt = |key: &'static str, v: Option<f64>| {
         if let Some(v) = v {
-            out.push_str(&format!(",\"{key}\":{v:.prec$}"));
+            fields.push((key, Json::Num(round6(v))));
         }
     };
-    opt("instructions_per_op", r.instructions_per_op, 3);
-    opt("ipc", r.ipc, 4);
-    opt("cache_misses_per_op", r.cache_misses_per_op, 4);
-    opt("stalled_frontend_per_op", r.stalled_frontend_per_op, 3);
-    opt("stalled_backend_per_op", r.stalled_backend_per_op, 3);
+    opt("instructions_per_op", r.instructions_per_op);
+    opt("ipc", r.ipc);
+    opt("cache_misses_per_op", r.cache_misses_per_op);
+    opt("stalled_frontend_per_op", r.stalled_frontend_per_op);
+    opt("stalled_backend_per_op", r.stalled_backend_per_op);
     if let Some(reason) = &r.degraded_reason {
-        out.push_str(&format!(",\"degraded_reason\":\"{}\"", json_escape(reason)));
+        fields.push(("degraded_reason", Json::Str(reason.clone())));
     }
-    out.push('}');
-    out
+    obj(fields)
 }
 
 impl BenchResult {
-    /// Render as one JSON object (no trailing newline). Only numbers and
-    /// escaped strings — consumable by any JSON parser.
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":\"{}\",\"iters\":{},\"samples\":{},\"min_ns\":{:.3},\"mean_ns\":{:.3},\"max_ns\":{:.3},\"cv\":{:.6}",
-            json_escape(&self.name),
-            self.iters,
-            self.samples,
-            self.min_ns,
-            self.mean_ns,
-            self.max_ns,
-            self.cv
-        );
+    /// Render as one JSON object: the `LBMF_BENCH_JSON` row, and the
+    /// timing half of a `BENCH_<n>.json` entry. Nanoseconds keep 3
+    /// decimals, `cv` 6.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("name", Json::Str(self.name.clone())),
+            ("iters", Json::Num(self.iters as f64)),
+            ("samples", Json::Num(self.samples as f64)),
+            ("min_ns", Json::Num(round3(self.min_ns))),
+            ("mean_ns", Json::Num(round3(self.mean_ns))),
+            ("max_ns", Json::Num(round3(self.max_ns))),
+            ("cv", Json::Num(round6(self.cv))),
+        ];
         if let Some(pmu) = &self.pmu {
-            out.push_str(",\"pmu\":");
-            out.push_str(&pmu_to_json(pmu));
+            fields.push(("pmu", pmu_to_json(pmu)));
         }
-        out.push('}');
-        out
+        obj(fields)
     }
 }
 
@@ -197,7 +199,7 @@ impl Criterion {
             // Append-mode JSONL so several bench binaries (or groups) can
             // share one collection file; a write failure is reported but
             // never fails the benchmark run itself.
-            let line = result.to_json();
+            let line = result.to_json().render();
             let appended = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -454,8 +456,9 @@ mod tests {
             assert!(pmu.degraded_reason.is_some(), "fallback must be reported");
         }
         let json = r.to_json();
-        assert!(json.contains("\"pmu\":{\"source\":\""), "{json}");
-        assert!(json.contains("\"cycles_per_op\":"), "{json}");
+        let block = json.get("pmu").expect("pmu block rendered");
+        assert_eq!(block.get("source").and_then(Json::as_str), Some(pmu.source.name()));
+        assert!(block.get("cycles_per_op").and_then(Json::as_f64).is_some(), "{json:?}");
     }
 
     #[test]
@@ -471,13 +474,14 @@ mod tests {
             stalled_frontend_per_op: None,
             stalled_backend_per_op: Some(4.25),
         };
-        let json = pmu_to_json(&full);
-        assert!(json.contains("\"source\":\"perf\""), "{json}");
-        assert!(json.contains("\"ops\":500"), "{json}");
-        assert!(json.contains("\"ipc\":2.4000"), "{json}");
-        assert!(json.contains("\"stalled_backend_per_op\":4.250"), "{json}");
-        assert!(!json.contains("stalled_frontend"), "absent counters are omitted: {json}");
-        assert!(!json.contains("degraded_reason"), "{json}");
+        // Checked on the re-parsed text, so the rendering is covered too.
+        let json = lbmf_trace::json::parse(&pmu_to_json(&full).render()).unwrap();
+        assert_eq!(json.get("source").and_then(Json::as_str), Some("perf"), "{json:?}");
+        assert_eq!(json.get("ops").and_then(Json::as_u64), Some(500), "{json:?}");
+        assert_eq!(json.get("ipc").and_then(Json::as_f64), Some(2.4), "{json:?}");
+        assert_eq!(json.get("stalled_backend_per_op").and_then(Json::as_f64), Some(4.25));
+        assert!(json.get("stalled_frontend_per_op").is_none(), "absent counters are omitted: {json:?}");
+        assert!(json.get("degraded_reason").is_none(), "{json:?}");
 
         let degraded = PmuReading {
             source: lbmf_pmu::PmuSource::Tsc,
@@ -490,10 +494,15 @@ mod tests {
             stalled_frontend_per_op: None,
             stalled_backend_per_op: None,
         };
-        let json = pmu_to_json(&degraded);
-        assert!(json.contains("\"source\":\"tsc\""), "{json}");
-        assert!(json.contains("\"degraded_reason\":\"perf_event_open(cpu-cycles): \\\"ENOENT\\\"\""), "{json}");
-        assert!(!json.contains("instructions_per_op"), "{json}");
+        let text = pmu_to_json(&degraded).render();
+        assert!(text.contains("\"degraded_reason\":\"perf_event_open(cpu-cycles): \\\"ENOENT\\\"\""), "{text}");
+        let json = lbmf_trace::json::parse(&text).unwrap();
+        assert_eq!(json.get("source").and_then(Json::as_str), Some("tsc"), "{text}");
+        assert_eq!(
+            json.get("degraded_reason").and_then(Json::as_str),
+            Some("perf_event_open(cpu-cycles): \"ENOENT\"")
+        );
+        assert!(json.get("instructions_per_op").is_none(), "{text}");
     }
 
     #[test]
@@ -544,11 +553,12 @@ mod tests {
         let res = sample_report().to_result("group/bench \"q\"");
         assert_eq!(res.samples, 3);
         assert_eq!(res.min_ns, 100.0);
-        let json = res.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"name\":\"group/bench \\\"q\\\"\""), "{json}");
-        assert!(json.contains("\"mean_ns\":200.000"), "{json}");
-        assert!(json.contains("\"cv\":0.408"), "{json}");
+        let line = res.to_json().render();
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        assert!(line.contains("\"name\":\"group/bench \\\"q\\\"\""), "{line}");
+        let json = lbmf_trace::json::parse(&line).unwrap();
+        assert_eq!(json.get("mean_ns").and_then(Json::as_f64), Some(200.0), "{line}");
+        assert_eq!(json.get("cv").and_then(Json::as_f64), Some(0.408248), "{line}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::job::JobCore;
 use crate::stats::WorkerStats;
 #[allow(unused_imports)]
-use crate::tracing::{trace_event_corr, trace_mint_corr};
+use lbmf::{trace_event_corr, trace_mint_corr};
 use lbmf::hooks::{load_i64, load_ptr, store_i64, store_ptr};
 use lbmf::registry::RemoteThread;
 use lbmf::strategy::FenceStrategy;

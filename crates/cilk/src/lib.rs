@@ -39,7 +39,6 @@ pub mod par;
 pub mod scheduler;
 pub mod scope;
 pub mod stats;
-pub(crate) mod tracing;
 
 pub use scheduler::{Scheduler, WorkerCtx};
 pub use scope::Scope;

@@ -16,7 +16,8 @@
 
 use crate::sys;
 #[allow(unused_imports)]
-use crate::trace::{trace_event_corr, trace_mint_corr, trace_span_end_corr, trace_span_start};
+use crate::trace::{trace_span_end_corr, trace_span_start};
+use crate::{trace_event_corr, trace_mint_corr};
 use std::os::raw::{c_int, c_void};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Once};

@@ -21,9 +21,8 @@ use crate::fence::{compiler_fence_only, full_fence};
 use crate::registry::RemoteThread;
 use crate::stats::FenceStats;
 #[allow(unused_imports)]
-use crate::trace::{
-    trace_event, trace_event_corr, trace_mint_corr, trace_span_end_corr, trace_span_start,
-};
+use crate::trace::{trace_event, trace_span_end_corr, trace_span_start};
+use crate::{trace_event_corr, trace_mint_corr};
 
 /// Ordering actions for one side of an asymmetric synchronization pattern.
 ///

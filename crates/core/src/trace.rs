@@ -7,6 +7,12 @@
 //! the "zero-cost when disabled" claim — the runtime half, that the
 //! *enabled* record path adds no fence/RMW, is asserted by
 //! `tests/trace_fastpath.rs` at the workspace root).
+//!
+//! `trace_event_corr!` and `trace_mint_corr!` are also exported
+//! (`#[doc(hidden)]`, not API) for `lbmf-cilk`'s steal events. Their
+//! `#[cfg(feature = "trace")]` gates are evaluated in the crate that
+//! invokes them, so a user crate needs its own `trace` feature that
+//! enables its `lbmf-trace` dependency.
 
 /// Record an instant event: `trace_event!(Kind)`,
 /// `trace_event!(Kind, addr)` or `trace_event!(Kind, addr, dur)`.
@@ -29,6 +35,8 @@ macro_rules! trace_event {
 
 /// Record an instant event carrying a causal correlation id:
 /// `trace_event_corr!(Kind, addr, corr)`.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! trace_event_corr {
     ($kind:ident, $addr:expr, $corr:expr) => {{
         #[cfg(feature = "trace")]
@@ -43,6 +51,8 @@ macro_rules! trace_event_corr {
 /// Mint a correlation id for one causal serialization chain (0 when
 /// tracing is compiled out — chain events then carry no id and the
 /// reconstruction simply sees no chains).
+#[doc(hidden)]
+#[macro_export]
 macro_rules! trace_mint_corr {
     () => {{
         #[cfg(feature = "trace")]
@@ -96,7 +106,4 @@ macro_rules! trace_span_end_corr {
     }};
 }
 
-pub(crate) use {
-    trace_event, trace_event_corr, trace_mint_corr, trace_span_end, trace_span_end_corr,
-    trace_span_start,
-};
+pub(crate) use {trace_event, trace_span_end, trace_span_end_corr, trace_span_start};

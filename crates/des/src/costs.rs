@@ -126,31 +126,6 @@ impl DesCosts {
     }
 }
 
-/// A deterministic SplitMix64 RNG for simulation decisions.
-#[derive(Clone, Debug)]
-pub struct SimRng(u64);
-
-impl SimRng {
-    /// Seeded generator (same seed, same stream).
-    pub fn new(seed: u64) -> Self {
-        SimRng(seed.wrapping_mul(2).wrapping_add(1))
-    }
-
-    /// The next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// A value uniform in `0..n` (0 when `n == 0`).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,26 +161,5 @@ mod tests {
         );
         assert_eq!(entries[2], ("serialize_victim_lest", cm.sb_drain_owned));
         assert_eq!(entries[3], ("cache_to_cache", cm.cache_to_cache));
-    }
-
-    #[test]
-    fn rng_is_deterministic() {
-        let mut a = SimRng::new(7);
-        let mut b = SimRng::new(7);
-        for _ in 0..10 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let mut c = SimRng::new(8);
-        assert_ne!(a.next_u64(), c.next_u64());
-    }
-
-    #[test]
-    fn below_is_in_range() {
-        let mut r = SimRng::new(3);
-        for _ in 0..100 {
-            assert!(r.below(5) < 5);
-        }
-        assert_eq!(r.below(0), 0);
-        assert_eq!(r.below(1), 0);
     }
 }

@@ -10,120 +10,18 @@
 //! simulator, a 64-core simulated incident and a real one are diagnosed
 //! by exactly the same code path.
 //!
-//! The parser is std-only and deliberately small: metric lines
-//! (`name{k="v",…} value`), `#` comments skipped, label values
-//! unescaped. It is *not* a general exposition validator — unparseable
-//! lines are errors, because a doctor that silently skips evidence
-//! diagnoses nothing.
+//! Parsing is [`lbmf_trace::prometheus::parse`]: unparseable lines are
+//! errors there, because a doctor that silently skips evidence diagnoses
+//! nothing.
 
 use lbmf_des::kv_sim::{
     GAUGE_EPOCH, GAUGE_GRAVEYARD, GAUGE_LIMBO_BYTES, GAUGE_LIMBO_DEPTH, GAUGE_MIN_PIN,
     GAUGE_OLDEST_PIN_AGE, GAUGE_PROBE_HWM, GAUGE_STUCK_READERS, GAUGE_STUCK_SLOT,
 };
+use lbmf_trace::json::{obj, Json};
+use lbmf_trace::prometheus::Sample;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One parsed sample line.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Metric name.
-    pub name: String,
-    /// Label pairs in source order.
-    pub labels: Vec<(String, String)>,
-    /// The sample value.
-    pub value: f64,
-}
-
-impl Sample {
-    /// The value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-fn unescape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Parse exposition-format text into samples (comments and blank lines
-/// skipped). Errors carry the 1-based line number.
-pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let err = |what: &str| format!("line {}: {what}: {line:?}", i + 1);
-        let (name_labels, value_text) = match line.find(|c| c == ' ' || c == '\t') {
-            // `{` may hold spaces inside quoted values; split at the
-            // whitespace *after* the closing brace when labels exist.
-            Some(_) if line.contains('{') => {
-                let close = line.rfind('}').ok_or_else(|| err("unclosed label set"))?;
-                let (head, rest) = line.split_at(close + 1);
-                (head, rest.trim())
-            }
-            Some(sp) => (&line[..sp], line[sp..].trim()),
-            None => return Err(err("no value")),
-        };
-        let value: f64 = value_text
-            .split_whitespace()
-            .next()
-            .ok_or_else(|| err("no value"))?
-            .parse()
-            .map_err(|_| err("bad value"))?;
-        let (name, labels) = match name_labels.split_once('{') {
-            None => (name_labels.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let body = rest.strip_suffix('}').ok_or_else(|| err("unclosed label set"))?;
-                let mut labels = Vec::new();
-                let mut remainder = body;
-                while !remainder.is_empty() {
-                    let eq = remainder.find('=').ok_or_else(|| err("label without ="))?;
-                    let key = remainder[..eq].trim().to_string();
-                    let after = remainder[eq + 1..]
-                        .strip_prefix('"')
-                        .ok_or_else(|| err("unquoted label value"))?;
-                    // Find the closing quote, honoring backslash escapes.
-                    let mut end = None;
-                    let mut esc = false;
-                    for (j, c) in after.char_indices() {
-                        if esc {
-                            esc = false;
-                        } else if c == '\\' {
-                            esc = true;
-                        } else if c == '"' {
-                            end = Some(j);
-                            break;
-                        }
-                    }
-                    let end = end.ok_or_else(|| err("unterminated label value"))?;
-                    labels.push((key, unescape(&after[..end])));
-                    remainder = after[end + 1..].trim_start_matches(',').trim();
-                }
-                (name.to_string(), labels)
-            }
-        };
-        out.push(Sample { name, labels, value });
-    }
-    Ok(out)
-}
 
 /// One shard's reassembled health gauges.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -224,7 +122,6 @@ impl DoctorReport {
     /// output `lbmf-obs pmu --json` emits, so CI consumes both planes
     /// through one parser.
     pub fn render_json(&self) -> String {
-        use crate::json::{obj, Json};
         let shards = self
             .shards
             .iter()
@@ -342,25 +239,7 @@ pub fn diagnose(samples: &[Sample], max_pin_age_ns: u64) -> DoctorReport {
 mod tests {
     use super::*;
     use lbmf_des::{render_shard_health, ShardHealthSample};
-
-    #[test]
-    fn parses_names_labels_escapes_and_values() {
-        let text = "\
-# HELP x help text
-# TYPE x gauge
-x 3
-y{a=\"b\"} 4.5
-z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
-";
-        let samples = parse_exposition(text).unwrap();
-        assert_eq!(samples.len(), 3);
-        assert_eq!((samples[0].name.as_str(), samples[0].value), ("x", 3.0));
-        assert_eq!(samples[1].label("a"), Some("b"));
-        assert_eq!(samples[2].label("a"), Some("with \"quote\" and \\ back"));
-        assert_eq!(samples[2].label("shard"), Some("7"));
-        assert_eq!(samples[2].value, 9.0);
-        assert!(parse_exposition("garbage_without_value\n").is_err());
-    }
+    use lbmf_trace::prometheus;
 
     #[test]
     fn doctor_flags_the_simulated_stuck_shard_and_names_the_slot() {
@@ -383,7 +262,7 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
             ..ShardHealthSample::default()
         };
         let text = render_shard_health("kv-sim", &[clean, stuck]);
-        let samples = parse_exposition(&text).unwrap();
+        let samples = prometheus::parse(&text).unwrap();
         let report = diagnose(&samples, 1_000_000_000);
         assert_eq!(report.shards.len(), 2);
         assert!(!report.healthy());
@@ -412,7 +291,7 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
             ..ShardHealthSample::default()
         };
         let text = render_shard_health("s", &[lagging]);
-        let samples = parse_exposition(&text).unwrap();
+        let samples = prometheus::parse(&text).unwrap();
         assert!(!diagnose(&samples, 1_000_000_000).healthy());
         assert!(
             diagnose(&samples, 3_000_000_000).healthy(),
@@ -427,7 +306,7 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
             ..ShardHealthSample::default()
         };
         let text = render_shard_health("s", &[hot]);
-        assert!(diagnose(&parse_exposition(&text).unwrap(), 1).healthy());
+        assert!(diagnose(&prometheus::parse(&text).unwrap(), 1).healthy());
     }
 
     #[test]
@@ -442,25 +321,25 @@ z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
             ..ShardHealthSample::default()
         };
         let text = render_shard_health("kv", &[stuck]);
-        let mut report = diagnose(&parse_exposition(&text).unwrap(), 1_000_000_000);
+        let mut report = diagnose(&prometheus::parse(&text).unwrap(), 1_000_000_000);
         report.healthz_reasons.push("watchdog: shard 2 wedged".into());
         let json = report.render_json();
-        let v = crate::json::parse(&json).expect("doctor json parses");
-        assert_eq!(v.get("schema").and_then(crate::json::Json::as_str), Some("lbmf-doctor/1"));
-        assert_eq!(v.get("healthy"), Some(&crate::json::Json::Bool(false)));
-        let shards = v.get("shards").and_then(crate::json::Json::as_arr).unwrap();
+        let v = lbmf_trace::json::parse(&json).expect("doctor json parses");
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("lbmf-doctor/1"));
+        assert_eq!(v.get("healthy"), Some(&Json::Bool(false)));
+        let shards = v.get("shards").and_then(Json::as_arr).unwrap();
         assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].get("shard").and_then(crate::json::Json::as_u64), Some(2));
-        assert_eq!(shards[0].get("stuck_readers").and_then(crate::json::Json::as_u64), Some(1));
-        let problems = shards[0].get("problems").and_then(crate::json::Json::as_arr).unwrap();
+        assert_eq!(shards[0].get("shard").and_then(Json::as_u64), Some(2));
+        assert_eq!(shards[0].get("stuck_readers").and_then(Json::as_u64), Some(1));
+        let problems = shards[0].get("problems").and_then(Json::as_arr).unwrap();
         assert!(problems[0].as_str().unwrap().contains("worst slot"));
-        let hz = v.get("healthz_reasons").and_then(crate::json::Json::as_arr).unwrap();
+        let hz = v.get("healthz_reasons").and_then(Json::as_arr).unwrap();
         assert_eq!(hz[0].as_str(), Some("watchdog: shard 2 wedged"));
     }
 
     #[test]
     fn vacuous_reports_are_detectable() {
-        let report = diagnose(&parse_exposition("other_metric 1\n").unwrap(), 1);
+        let report = diagnose(&prometheus::parse("other_metric 1\n").unwrap(), 1);
         assert!(report.is_vacuous());
         assert!(report.healthy(), "vacuous is healthy only by default");
         assert!(report.render().contains("no lbmf_store_shard_* gauges"));

@@ -13,12 +13,12 @@
 //! producer/consumer version skew) shows up as a visible disagreement
 //! rather than a silently propagated stale value.
 
-use crate::doctor::Sample;
 use lbmf_des::kv_sim::{
     GAUGE_HOTKEY_READS, GAUGE_HOTKEY_READ_ERR, GAUGE_HOTKEY_SERIALIZE_BILL, GAUGE_HOTKEY_WRITES,
     GAUGE_SKEW_SAMPLE_EVERY, GAUGE_SKEW_SHARD_READS, GAUGE_SKEW_SHARD_WRITES,
 };
 use lbmf_des::{HeatSnapshot, ShardLoad};
+use lbmf_trace::prometheus::Sample;
 use lbmf_trace::HotKey;
 use std::collections::BTreeMap;
 
@@ -313,7 +313,7 @@ impl HeatReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doctor::parse_exposition;
+    use lbmf_trace::prometheus;
 
     /// Expected counts of a Zipf(θ) head: `n_k ∝ k^-θ`, scaled to `n`
     /// total observations over `k_max` ranks.
@@ -362,7 +362,7 @@ mod tests {
     fn render_then_assemble_round_trips_the_snapshot() {
         let snap = zipfy_snapshot();
         let text = snap.render("rt");
-        let report = assemble(&parse_exposition(&text).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&text).unwrap()).unwrap();
         assert_eq!(report.stores.len(), 1);
         let got = &report.stores[0];
         assert_eq!(got.store, "rt");
@@ -383,7 +383,7 @@ mod tests {
 
     #[test]
     fn skewed_store_gets_a_skew_verdict_with_the_head_keys_named() {
-        let report = assemble(&parse_exposition(&zipfy_snapshot().render("skew")).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&zipfy_snapshot().render("skew")).unwrap()).unwrap();
         let sh = &report.stores[0];
         let hot = sh.hot_keys();
         assert!(!hot.is_empty(), "zipf 0.99 head must clear 5%");
@@ -407,7 +407,7 @@ mod tests {
             ShardLoad { shard: 1, sampled_reads: 32_000, writes: 5 },
         ];
         let snap = HeatSnapshot::new(2, top_reads, Vec::new(), Vec::new(), shards);
-        let report = assemble(&parse_exposition(&snap.render("flat")).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&snap.render("flat")).unwrap()).unwrap();
         let text = report.render(5);
         assert!(text.contains("verdict: no significant hot keys"), "{text}");
         assert!(text.contains("shards balanced"), "{text}");
@@ -422,7 +422,7 @@ mod tests {
         let a = zipfy_snapshot().render("alpha");
         let b = zipfy_snapshot().render("beta");
         let combined = format!("{a}{b}");
-        let report = assemble(&parse_exposition(&combined).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&combined).unwrap()).unwrap();
         assert_eq!(report.stores.len(), 2);
         assert_eq!(report.stores[0].store, "alpha");
         assert_eq!(report.stores[1].store, "beta");
@@ -440,14 +440,14 @@ mod tests {
              lbmf_serialize_requests_total 41\n",
         );
         text.push_str(&zipfy_snapshot().render("only"));
-        let report = assemble(&parse_exposition(&text).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&text).unwrap()).unwrap();
         assert_eq!(report.stores.len(), 1);
         assert_eq!(report.stores[0].store, "only");
     }
 
     #[test]
     fn vacuous_payload_is_flagged_not_invented() {
-        let report = assemble(&parse_exposition("up 1\n").unwrap()).unwrap();
+        let report = assemble(&prometheus::parse("up 1\n").unwrap()).unwrap();
         assert!(report.is_vacuous());
         assert!(report.render(10).contains("no workload heat data"));
         assert_eq!(report.theta_gate(0.99, 0.1), vec!["no heat data to gate on"]);
@@ -455,7 +455,7 @@ mod tests {
 
     #[test]
     fn theta_gate_passes_in_tolerance_and_names_the_store_outside_it() {
-        let report = assemble(&parse_exposition(&zipfy_snapshot().render("g")).unwrap()).unwrap();
+        let report = assemble(&prometheus::parse(&zipfy_snapshot().render("g")).unwrap()).unwrap();
         assert!(report.theta_gate(0.99, 0.1).is_empty());
         let failures = report.theta_gate(0.20, 0.1);
         assert_eq!(failures.len(), 1);
@@ -465,13 +465,13 @@ mod tests {
     #[test]
     fn malformed_heat_samples_are_loud_errors() {
         let missing_rank = "lbmf_store_hotkey_reads{store=\"x\",key=\"1\"} 5\n";
-        let e = assemble(&parse_exposition(missing_rank).unwrap()).unwrap_err();
+        let e = assemble(&prometheus::parse(missing_rank).unwrap()).unwrap_err();
         assert!(e.contains("rank"), "{e}");
 
         let clashing = "\
             lbmf_store_hotkey_reads{store=\"x\",key=\"1\",rank=\"1\"} 5\n\
             lbmf_store_hotkey_read_err{store=\"x\",key=\"2\",rank=\"1\"} 1\n";
-        let e = assemble(&parse_exposition(clashing).unwrap()).unwrap_err();
+        let e = assemble(&prometheus::parse(clashing).unwrap()).unwrap_err();
         assert!(e.contains("rank 1 claimed by both"), "{e}");
     }
 }

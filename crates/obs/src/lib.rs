@@ -55,7 +55,7 @@
 //! one dual-source helper ([`source`]): `--snapshot FILE` or a live
 //! `--addr` scrape.
 //!
-//! Everything is std-only ([`json`] is a hand-rolled parser/writer) —
+//! Everything is std-only (JSON goes through [`lbmf_trace::json`]) —
 //! the observatory obeys the same offline-build rule as the runtime it
 //! watches, and its instrumentation reads are all drainer-side: scraping
 //! `/metrics` never adds a fence to the traced fast path.
@@ -67,7 +67,6 @@ pub mod doctor;
 pub mod explain;
 pub mod heat;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod pmu;
 pub mod schema;
@@ -75,3 +74,7 @@ pub mod sim;
 pub mod source;
 pub mod suite;
 pub mod trend;
+
+/// The workspace's JSON value model, parser and writer, re-exported from
+/// `lbmf-trace` so `lbmf_obs::json` keeps naming the same module.
+pub use lbmf_trace::json;

@@ -7,6 +7,7 @@ use lbmf_bench::Args;
 use lbmf_obs::schema::{bench_files, next_index, BenchReport};
 use lbmf_obs::sim::CalibrationReport;
 use lbmf_obs::{compare, doctor, explain, heat, http, metrics, pmu, sim, source, suite, trend};
+use lbmf_trace::prometheus;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -352,7 +353,7 @@ fn cmd_doctor(args: &Args) -> ExitCode {
         Err(e) => return fail(&e),
     };
 
-    let samples = match doctor::parse_exposition(&text) {
+    let samples = match prometheus::parse(&text) {
         Ok(s) => s,
         Err(e) => return fail(&format!("unparseable metrics: {e}")),
     };
@@ -395,7 +396,7 @@ fn cmd_heat(args: &Args) -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
-    let samples = match doctor::parse_exposition(&text) {
+    let samples = match prometheus::parse(&text) {
         Ok(s) => s,
         Err(e) => return fail(&format!("unparseable metrics: {e}")),
     };
@@ -433,7 +434,7 @@ fn cmd_pmu(args: &Args) -> ExitCode {
             Ok(t) => t,
             Err(e) => return fail(&e),
         };
-        let samples = match doctor::parse_exposition(&text) {
+        let samples = match prometheus::parse(&text) {
             Ok(s) => s,
             Err(e) => return fail(&format!("unparseable metrics: {e}")),
         };

@@ -10,24 +10,18 @@
 
 use lbmf::stats::FenceStatsSnapshot;
 use lbmf_store::StoreStatsSnapshot;
-use lbmf_trace::prometheus::label_escape;
-use std::fmt::Write as _;
+use lbmf_trace::prometheus::render_counter_family;
 
 /// Render one strategy's counters in exposition format. `strategy` is
 /// the strategy's stable name label (`lbmf-signal`, ...).
 pub fn render_fence_stats(strategy: &str, snap: &FenceStatsSnapshot) -> String {
     let mut out = String::new();
     for (field, value) in snap.fields() {
-        let _ = writeln!(
-            out,
-            "# HELP lbmf_fence_{field}_total Cumulative {} since strategy creation.",
-            field.replace('_', " ")
-        );
-        let _ = writeln!(out, "# TYPE lbmf_fence_{field}_total counter");
-        let _ = writeln!(
-            out,
-            "lbmf_fence_{field}_total{{strategy=\"{}\"}} {value}",
-            label_escape(strategy)
+        render_counter_family(
+            &mut out,
+            &format!("lbmf_fence_{field}_total"),
+            &format!("Cumulative {} since strategy creation.", field.replace('_', " ")),
+            &[(&[("strategy", strategy)], value)],
         );
     }
     out
@@ -39,16 +33,11 @@ pub fn render_fence_stats(strategy: &str, snap: &FenceStatsSnapshot) -> String {
 pub fn render_store_stats(store: &str, snap: &StoreStatsSnapshot) -> String {
     let mut out = String::new();
     for (field, value) in snap.fields() {
-        let _ = writeln!(
-            out,
-            "# HELP lbmf_store_{field}_total Cumulative store {} since creation.",
-            field.replace('_', " ")
-        );
-        let _ = writeln!(out, "# TYPE lbmf_store_{field}_total counter");
-        let _ = writeln!(
-            out,
-            "lbmf_store_{field}_total{{store=\"{}\"}} {value}",
-            label_escape(store)
+        render_counter_family(
+            &mut out,
+            &format!("lbmf_store_{field}_total"),
+            &format!("Cumulative store {} since creation.", field.replace('_', " ")),
+            &[(&[("store", store)], value)],
         );
     }
     out
@@ -124,7 +113,7 @@ mod tests {
     fn hostile_label_values_escape_and_round_trip_through_the_parser() {
         // Conformance: every renderer in the workspace escapes `\`, `"`
         // and newline in label values identically (the shared
-        // `label_escape`), and the doctor's escape-aware parser reads
+        // `label_escape`), and the escape-aware exposition parser reads
         // the original string back out.
         let nasty = "he said \"42\"\\\nover two lines";
         let escaped = "he said \\\"42\\\"\\\\\\nover two lines";
@@ -137,7 +126,7 @@ mod tests {
                 !text.lines().any(|l| l.contains("over two lines") && !l.contains("\\n")),
                 "raw newline leaked into a sample line:\n{text}"
             );
-            let samples = crate::doctor::parse_exposition(text).expect("parseable");
+            let samples = lbmf_trace::prometheus::parse(text).expect("parseable");
             assert!(!samples.is_empty());
             for s in &samples {
                 let label = s.label("strategy").or_else(|| s.label("store")).unwrap();

@@ -21,13 +21,14 @@
 //! the tsc fallback it degrades to an advisory note, because a TSC
 //! delta cannot attribute *why* cycles were spent.
 
-use crate::doctor::Sample;
-use crate::json::{obj, Json};
-use crate::schema::{pmu_from_json, pmu_to_json};
+use crate::schema::pmu_from_json;
 use lbmf::dekker::AsymmetricDekker;
 use lbmf::fence::{compiler_fence_only, full_fence};
 use lbmf::strategy::{FenceStrategy, NoFence, SignalFence, Symmetric};
+use lbmf_bench::criterion::pmu_to_json;
 use lbmf_pmu::{PmuReading, PmuSession, PmuSource};
+use lbmf_trace::json::{obj, Json};
+use lbmf_trace::prometheus::Sample;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -367,7 +368,7 @@ impl PmuReport {
     /// must not. The derived `read_asymmetry` block is ignored — it is
     /// recomputed from the rows.
     pub fn parse(text: &str) -> Result<PmuReport, String> {
-        let v = crate::json::parse(text)?;
+        let v = lbmf_trace::json::parse(text)?;
         match v.get("schema").and_then(Json::as_str) {
             Some(PMU_SCHEMA) => {}
             Some(other) => return Err(format!("unsupported pmu schema {other:?}")),
@@ -607,7 +608,7 @@ impl PmuReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doctor::parse_exposition;
+    use lbmf_trace::prometheus;
 
     fn reading(
         source: PmuSource,
@@ -730,7 +731,7 @@ mod tests {
         assert!(text.contains("lbmf_pmu_cycles_per_op_milli"), "{text}");
         assert!(text.contains("lbmf_pmu_degraded"), "{text}");
         assert!(text.contains("ENOENT"), "the reason must survive export: {text}");
-        let back = PmuReport::from_exposition(&parse_exposition(&text).unwrap()).unwrap();
+        let back = PmuReport::from_exposition(&prometheus::parse(&text).unwrap()).unwrap();
         assert_eq!(back.source, PmuSource::Tsc);
         assert_eq!(
             back.degraded_reason.as_deref(),
@@ -751,14 +752,14 @@ mod tests {
 
     #[test]
     fn exposition_without_pmu_families_is_vacuous_and_lossy_tsc_is_rejected() {
-        let samples = parse_exposition("lbmf_store_shard_epoch{store=\"s\",shard=\"0\"} 1\n").unwrap();
+        let samples = prometheus::parse("lbmf_store_shard_epoch{store=\"s\",shard=\"0\"} 1\n").unwrap();
         let report = PmuReport::from_exposition(&samples).unwrap();
         assert!(report.is_vacuous());
 
         // A scrape that kept tsc rows but dropped the degraded family
         // would silently launder the fallback — reject it.
         let text = "lbmf_pmu_cycles_per_op_milli{bench=\"x\",source=\"tsc\",strategy=\"\"} 1000\n";
-        let e = PmuReport::from_exposition(&parse_exposition(text).unwrap()).unwrap_err();
+        let e = PmuReport::from_exposition(&prometheus::parse(text).unwrap()).unwrap_err();
         assert!(e.contains("degradation"), "{e}");
     }
 }

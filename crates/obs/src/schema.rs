@@ -50,10 +50,10 @@
 //! accepts v1 files and `compare` treats serialize moves within one
 //! bucket (2×) as granularity, not signal.
 
-use crate::json::{obj, parse, Json};
 use lbmf::stats::FenceStatsSnapshot;
 use lbmf_bench::criterion::BenchResult;
 use lbmf_pmu::{PmuReading, PmuSource};
+use lbmf_trace::json::{obj, parse, Json};
 use std::path::{Path, PathBuf};
 
 /// Current schema identifier. Bump the `/3` on breaking changes.
@@ -153,44 +153,34 @@ impl BenchEntry {
     }
 
     fn to_json(&self) -> Json {
-        let r = &self.result;
-        let mut fields = vec![
-            ("name", Json::Str(r.name.clone())),
-            ("iters", Json::Num(r.iters as f64)),
-            ("samples", Json::Num(r.samples as f64)),
-            ("min_ns", Json::Num(round3(r.min_ns))),
-            ("mean_ns", Json::Num(round3(r.mean_ns))),
-            ("max_ns", Json::Num(round3(r.max_ns))),
-            ("cv", Json::Num(round6(r.cv))),
-        ];
+        let Json::Obj(mut fields) = self.result.to_json() else {
+            unreachable!("BenchResult renders an object")
+        };
         if let Some(s) = &self.strategy {
-            fields.push(("strategy", Json::Str(s.clone())));
+            fields.insert("strategy".into(), Json::Str(s.clone()));
         }
         if let Some(fs) = &self.fence_stats {
-            fields.push((
-                "fence_stats",
+            fields.insert(
+                "fence_stats".into(),
                 Json::Obj(
                     fs.fields()
                         .into_iter()
                         .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
                         .collect(),
                 ),
-            ));
+            );
         }
         if let Some(sl) = &self.serialize {
-            fields.push((
-                "serialize",
+            fields.insert(
+                "serialize".into(),
                 obj(vec![
                     ("p50", Json::Num(sl.p50 as f64)),
                     ("p99", Json::Num(sl.p99 as f64)),
                     ("count", Json::Num(sl.count as f64)),
                 ]),
-            ));
+            );
         }
-        if let Some(pmu) = &r.pmu {
-            fields.push(("pmu", pmu_to_json(pmu)));
-        }
-        obj(fields)
+        Json::Obj(fields)
     }
 
     fn from_json(v: &Json) -> Result<Self, String> {
@@ -387,38 +377,6 @@ impl BenchReport {
     pub fn entry(&self, name: &str) -> Option<&BenchEntry> {
         self.benchmarks.iter().find(|b| b.result.name == name)
     }
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
-}
-
-fn round6(x: f64) -> f64 {
-    (x * 1e6).round() / 1e6
-}
-
-/// Render one schema-v3 `pmu` block. Key set and omission rules match
-/// the JSONL writer in `lbmf_bench::criterion::pmu_to_json`.
-pub(crate) fn pmu_to_json(p: &PmuReading) -> Json {
-    let mut fields = vec![
-        ("source", Json::Str(p.source.name().to_string())),
-        ("ops", Json::Num(p.ops as f64)),
-        ("cycles_per_op", Json::Num(round3(p.cycles_per_op))),
-    ];
-    let mut optf = |key: &'static str, v: Option<f64>| {
-        if let Some(v) = v {
-            fields.push((key, Json::Num(round6(v))));
-        }
-    };
-    optf("instructions_per_op", p.instructions_per_op);
-    optf("ipc", p.ipc);
-    optf("cache_misses_per_op", p.cache_misses_per_op);
-    optf("stalled_frontend_per_op", p.stalled_frontend_per_op);
-    optf("stalled_backend_per_op", p.stalled_backend_per_op);
-    if let Some(reason) = &p.degraded_reason {
-        fields.push(("degraded_reason", Json::Str(reason.clone())));
-    }
-    obj(fields)
 }
 
 /// Parse and validate one `pmu` block, enforcing the degradation

@@ -23,10 +23,10 @@
 //! versa), the per-entry delta leaves the tolerance band and the gate
 //! trips.
 
-use crate::json::{self, obj, Json};
 use crate::schema::{check_schema, CALIB_SCHEMA};
 use lbmf_des::costs::DesCosts;
 use lbmf_sim::prelude::*;
+use lbmf_trace::json::{self, obj, Json};
 use std::collections::BTreeMap;
 
 // ----------------------------------------------------------------------

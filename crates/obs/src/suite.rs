@@ -30,6 +30,7 @@ use lbmf_cilk::Scheduler;
 use lbmf_des::SerializeKind;
 use lbmf_store::workload::CYCLES_PER_NS;
 use lbmf_store::{ReclaimMode, Store, WorkloadCfg};
+use lbmf_trace::json::{self, Json};
 use lbmf_trace::EventKind;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -327,17 +328,17 @@ pub fn run(quick: bool) -> BenchReport {
 /// hook) into a report as timing-only entries. Rows whose names collide
 /// with suite entries are suffixed `@ingest` rather than dropped.
 pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, String> {
-    let rows = crate::json::parse_lines(text)?;
+    let rows = json::parse_lines(text)?;
     let mut added = 0;
     for row in &rows {
         let get = |k: &str| {
             row.get(k)
-                .and_then(crate::json::Json::as_f64)
+                .and_then(Json::as_f64)
                 .ok_or_else(|| format!("ingest row missing number {k:?}"))
         };
         let mut name = row
             .get("name")
-            .and_then(crate::json::Json::as_str)
+            .and_then(Json::as_str)
             .ok_or("ingest row missing \"name\"")?
             .to_string();
         if report.entry(&name).is_some() {
@@ -347,7 +348,7 @@ pub fn ingest_jsonl(report: &mut BenchReport, text: &str) -> Result<usize, Strin
             continue; // same external row fed twice
         }
         report.benchmarks.push(BenchEntry::plain(
-            lbmf_bench::criterion::BenchResult {
+            BenchResult {
                 name,
                 iters: get("iters")? as u64,
                 samples: get("samples")? as usize,
@@ -391,5 +392,30 @@ mod tests {
         assert!(report.entry("a@ingest").is_some());
         assert!(report.entry("b").is_some());
         assert!(ingest_jsonl(&mut report, "{\"name\":\"c\"}").is_err());
+    }
+
+    #[test]
+    fn jsonl_rows_with_control_characters_round_trip() {
+        // A newline in a name must not split its JSONL row in two.
+        let row = BenchResult {
+            name: "a\nb \"q\"".into(),
+            iters: 4,
+            samples: 5,
+            min_ns: 1.5,
+            mean_ns: 2.25,
+            max_ns: 3.0,
+            cv: 0.125,
+            pmu: None,
+        };
+        let line = row.to_json().render();
+        assert_eq!(line.lines().count(), 1, "{line}");
+        let mut report = BenchReport {
+            recorded_unix: 0,
+            quick: true,
+            host: HostMeta::current(),
+            benchmarks: Vec::new(),
+        };
+        assert_eq!(ingest_jsonl(&mut report, &format!("{line}\n")), Ok(1));
+        assert_eq!(report.benchmarks[0].result, row);
     }
 }

@@ -1,14 +1,20 @@
-//! A small JSON value model with a recursive-descent parser and a
-//! writer — the read side of the observatory. The trace crate already
-//! ships a *validating* parser for Chrome traces; `compare` additionally
-//! needs the parsed values back, so this module materializes a
-//! [`Json`] tree. No registry dependencies, by the repo's offline rule.
+//! The workspace's one JSON implementation: a small value model, a
+//! recursive-descent parser that follows the JSON grammar (RFC 8259),
+//! and a compact writer.
+//!
+//! Every JSON reader and writer in the workspace goes through here:
+//! [`crate::chrome::validate`] walks a parsed [`Json`] tree,
+//! [`crate::chrome::ChromeWriter`] escapes strings with [`write_str`],
+//! `lbmf-bench` renders its JSONL rows as [`Json`] values, and
+//! `lbmf-obs` reads and writes `BENCH_<n>.json`, `lbmf-pmu/1`,
+//! `lbmf-doctor/1` and `lbmf-calib/1` documents with it. No registry
+//! dependencies, by the repo's offline rule.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A parsed JSON value. Objects keep a sorted map — BENCH files are
-/// machine-written and key order carries no meaning.
+/// A parsed JSON value. Objects keep a sorted map — every document the
+/// workspace writes is machine-written and key order carries no meaning.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`
@@ -106,15 +112,22 @@ impl Json {
     }
 }
 
+/// Integers print exactly, other finite values in shortest round-trip
+/// form; NaN and infinities have no JSON spelling and print as `null`.
 fn write_num(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 9e15 {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped and every control character is escaped, so the
+/// result never spans lines.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -132,11 +145,17 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Arrays and objects nested deeper than this are rejected, so a hostile
+/// document fails with an error instead of overflowing the stack.
+const MAX_DEPTH: usize = 256;
+
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         s: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -157,9 +176,17 @@ pub fn parse_lines(text: &str) -> Result<Vec<Json>, String> {
         .collect()
 }
 
+/// Convenience constructor for object literals in writer code.
+pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 struct Parser<'a> {
+    text: &'a str,
     s: &'a [u8],
     i: usize,
+    /// Open arrays and objects around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -189,8 +216,9 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nested too deeply")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true").map(|_| Json::Bool(true)),
             Some(b'f') => self.literal("false").map(|_| Json::Bool(false)),
@@ -198,6 +226,13 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), String> {
@@ -209,82 +244,106 @@ impl Parser<'_> {
         }
     }
 
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
+            self.i += 1;
+        }
+        self.i - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — no
+    /// leading `+`, no leading zeros, digits on both sides of the point.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         if self.s.get(self.i) == Some(&b'-') {
             self.i += 1;
         }
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
+        match self.s.get(self.i) {
+            Some(b'0') => self.i += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("expected number")),
         }
-        std::str::from_utf8(&self.s[start..self.i])
+        if self.s.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected digit after '.'"));
+            }
+        }
+        if matches!(self.s.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.s.get(self.i), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected exponent digits"));
+            }
+        }
+        self.text[start..self.i]
+            .parse::<f64>()
             .ok()
-            .and_then(|t| t.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Json::Num)
-            .ok_or_else(|| self.err("expected number"))
+            .ok_or_else(|| self.err("number out of range"))
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
+        // Unescaped runs are copied as slices of the (already valid
+        // UTF-8) input; they start and end at ASCII bytes.
+        let mut run = self.i;
         loop {
-            let Some(&c) = self.s.get(self.i) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.s.get(self.i) else {
-                        return Err(self.err("dangling escape"));
-                    };
+            match self.s.get(self.i) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    out.push_str(&self.text[run..self.i]);
                     self.i += 1;
-                    match e {
-                        b'"' | b'\\' | b'/' => out.push(e as char),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .s
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            // Surrogates degrade to the replacement char;
-                            // BENCH content is ASCII in practice.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
+                    return Ok(out);
                 }
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    // Re-decode the multi-byte UTF-8 sequence.
-                    let start = self.i - 1;
-                    let len = match c {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .s
-                        .get(start..start + len)
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .ok_or_else(|| self.err("invalid utf-8"))?;
-                    out.push_str(chunk);
-                    self.i = start + len;
+                Some(b'\\') => {
+                    out.push_str(&self.text[run..self.i]);
+                    self.i += 1;
+                    let c = self.escape()?;
+                    out.push(c);
+                    run = self.i;
                 }
+                Some(0..=0x1f) => return Err(self.err("raw control character in string")),
+                Some(_) => self.i += 1,
             }
         }
+    }
+
+    /// Decode the escape after a backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let Some(&e) = self.s.get(self.i) else {
+            return Err(self.err("dangling escape"));
+        };
+        self.i += 1;
+        Ok(match e {
+            b'"' | b'\\' | b'/' => e as char,
+            b'n' => '\n',
+            b't' => '\t',
+            b'r' => '\r',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let code = self
+                    .text
+                    .get(self.i..self.i + 4)
+                    .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                self.i += 4;
+                // Surrogates degrade to the replacement char; every
+                // document the workspace writes is BMP text.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("bad escape")),
+        })
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -332,11 +391,6 @@ impl Parser<'_> {
     }
 }
 
-/// Convenience constructor for object literals in writer code.
-pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,8 +409,35 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "1 2", "{\"a\":1}x", "nul", "\"\\q\""] {
+        for bad in [
+            "", "{", "[1,", "{\"a\":}", "1 2", "{\"a\":1}x", "nul", "\"\\q\"",
+            // Numbers outside the JSON grammar.
+            "+1", "01", ".5", "1.", "1.2.3", "1-2",
+            // Short or non-hex \u escapes, raw control characters.
+            "\"\\uzzzz\"", "\"\\u12\"", "\"\\u+fff\"", "\"a\nb\"", "\"\t\"",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // Deep nesting is an error, not a stack overflow.
+        let deep = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        assert!(parse(&deep).unwrap_err().contains("nested too deeply"));
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn accepts_the_json_number_grammar() {
+        for (text, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("10", 10.0),
+            ("-2.5", -2.5),
+            ("0.125", 0.125),
+            ("1e3", 1000.0),
+            ("1E+2", 100.0),
+            ("25e-1", 2.5),
+        ] {
+            assert_eq!(parse(text).unwrap().as_f64(), Some(want), "{text}");
         }
     }
 
@@ -373,6 +454,7 @@ mod tests {
     fn number_writer_keeps_integers_exact() {
         assert_eq!(Json::Num(31536000.0).render(), "31536000");
         assert_eq!(Json::Num(0.125).render(), "0.125");
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
         assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
     }
 
@@ -382,5 +464,11 @@ mod tests {
         assert_eq!(v.as_str(), Some("café ☕"));
         let round = parse(&v.render()).unwrap();
         assert_eq!(round, v);
+        // Every control character the writer emits stays on one line
+        // and reads back unchanged.
+        let ctl = Json::Str("a\nb\r\t\u{1}\u{8}\"\\".into());
+        let text = ctl.render();
+        assert!(!text.contains('\n') && !text.contains('\u{1}'), "{text}");
+        assert_eq!(parse(&text).unwrap(), ctl);
     }
 }

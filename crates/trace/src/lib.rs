@@ -40,9 +40,14 @@
 //! ## Exporters
 //!
 //! * [`chrome`] — Chrome trace-event JSON, loadable in Perfetto or
-//!   `chrome://tracing`, with a dependency-free JSON self-check;
-//! * [`prometheus`] — a flat Prometheus-style text dump;
+//!   `chrome://tracing`, with a structural self-check;
+//! * [`prometheus`] — a flat Prometheus-style text dump, the shared
+//!   family renderers, and the exposition parser that reads them back;
 //! * [`summary`] — a per-run plain-text summary table.
+//!
+//! [`json`] is the workspace's one JSON parser and writer: the Chrome
+//! exporter and validator use it here, and `lbmf-bench` and `lbmf-obs`
+//! read and write their recordings with it.
 
 #![warn(missing_docs)]
 
@@ -50,6 +55,7 @@ pub mod causal;
 pub mod chrome;
 pub mod gauge;
 pub mod histogram;
+pub mod json;
 pub mod prometheus;
 pub mod ring;
 pub mod sketch;

@@ -1,10 +1,16 @@
-//! Prometheus-style text export.
+//! Prometheus-style text export, and the parser that reads it back.
 //!
 //! A flat, scrape-format dump of a [`TraceSnapshot`]: per-thread/per-kind
 //! event totals, per-thread dropped totals, and a cumulative log2
 //! histogram of serialize round-trip latency. This is a point-in-time
 //! render of one snapshot, not a live endpoint — pipe it to a file and
 //! let the scraper read that.
+//!
+//! The family renderers ([`render_counter_family`],
+//! [`render_gauge_family`], [`render_histogram_family`]) are shared by
+//! every crate that writes exposition text, and [`parse`] is the one
+//! reader `lbmf-obs doctor`, `heat` and `pmu` use on a scrape or a
+//! snapshot file.
 
 use crate::{EventKind, TraceSnapshot};
 use std::fmt::Write as _;
@@ -162,6 +168,111 @@ pub fn export(snap: &TraceSnapshot) -> String {
     out
 }
 
+/// One parsed sample line.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sample {
+    /// Metric name.
+    pub name: String,
+    /// Label pairs in source order.
+    pub labels: Vec<(String, String)>,
+    /// The sample value.
+    pub value: f64,
+}
+
+impl Sample {
+    /// The value of label `key`, if present.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+fn unescape(v: &str) -> String {
+    let mut out = String::with_capacity(v.len());
+    let mut chars = v.chars();
+    while let Some(c) = chars.next() {
+        if c == '\\' {
+            match chars.next() {
+                Some('n') => out.push('\n'),
+                Some(other) => out.push(other),
+                None => out.push('\\'),
+            }
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
+/// Parse exposition-format text into samples: metric lines
+/// (`name{k="v",…} value`), `#` comments and blank lines skipped, label
+/// values unescaped. Deliberately small — it reads what the renderers in
+/// this module write, not every exposition dialect — and strict: an
+/// unparseable line is an error carrying its 1-based line number.
+pub fn parse(text: &str) -> Result<Vec<Sample>, String> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let err = |what: &str| format!("line {}: {what}: {line:?}", i + 1);
+        let (name_labels, value_text) = match line.find([' ', '\t']) {
+            // `{` may hold spaces inside quoted values; split at the
+            // whitespace *after* the closing brace when labels exist.
+            Some(_) if line.contains('{') => {
+                let close = line.rfind('}').ok_or_else(|| err("unclosed label set"))?;
+                let (head, rest) = line.split_at(close + 1);
+                (head, rest.trim())
+            }
+            Some(sp) => (&line[..sp], line[sp..].trim()),
+            None => return Err(err("no value")),
+        };
+        let value: f64 = value_text
+            .split_whitespace()
+            .next()
+            .ok_or_else(|| err("no value"))?
+            .parse()
+            .map_err(|_| err("bad value"))?;
+        let (name, labels) = match name_labels.split_once('{') {
+            None => (name_labels.to_string(), Vec::new()),
+            Some((name, rest)) => {
+                let body = rest.strip_suffix('}').ok_or_else(|| err("unclosed label set"))?;
+                let mut labels = Vec::new();
+                let mut remainder = body;
+                while !remainder.is_empty() {
+                    let eq = remainder.find('=').ok_or_else(|| err("label without ="))?;
+                    let key = remainder[..eq].trim().to_string();
+                    let after = remainder[eq + 1..]
+                        .strip_prefix('"')
+                        .ok_or_else(|| err("unquoted label value"))?;
+                    // Find the closing quote, honoring backslash escapes.
+                    let mut end = None;
+                    let mut esc = false;
+                    for (j, c) in after.char_indices() {
+                        if esc {
+                            esc = false;
+                        } else if c == '\\' {
+                            esc = true;
+                        } else if c == '"' {
+                            end = Some(j);
+                            break;
+                        }
+                    }
+                    let end = end.ok_or_else(|| err("unterminated label value"))?;
+                    labels.push((key, unescape(&after[..end])));
+                    remainder = after[end + 1..].trim_start_matches(',').trim();
+                }
+                (name.to_string(), labels)
+            }
+        };
+        out.push(Sample { name, labels, value });
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,5 +399,24 @@ mod tests {
         assert!(bare.contains("m_bucket{le=\"+Inf\"} 3\n"));
         assert!(bare.contains("m_sum 706\n"));
         assert!(bare.contains("m_count 3\n"));
+    }
+
+    #[test]
+    fn parses_names_labels_escapes_and_values() {
+        let text = "\
+# HELP x help text
+# TYPE x gauge
+x 3
+y{a=\"b\"} 4.5
+z{a=\"with \\\"quote\\\" and \\\\ back\",shard=\"7\"} 9
+";
+        let samples = parse(text).unwrap();
+        assert_eq!(samples.len(), 3);
+        assert_eq!((samples[0].name.as_str(), samples[0].value), ("x", 3.0));
+        assert_eq!(samples[1].label("a"), Some("b"));
+        assert_eq!(samples[2].label("a"), Some("with \"quote\" and \\ back"));
+        assert_eq!(samples[2].label("shard"), Some("7"));
+        assert_eq!(samples[2].value, 9.0);
+        assert!(parse("garbage_without_value\n").is_err());
     }
 }

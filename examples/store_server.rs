@@ -335,7 +335,7 @@ fn serve(args: &lbmf_bench::Args) {
     if heat_every > 0 {
         let heat = store.heat_report().expect("armed plane must report");
         assert!(heat.sampled_reads > 0, "sampled reader hooks must have fired");
-        let samples = lbmf_obs::doctor::parse_exposition(&body).expect("parseable scrape");
+        let samples = lbmf_trace::prometheus::parse(&body).expect("parseable scrape");
         let scraped = lbmf_obs::heat::assemble(&samples).expect("well-formed heat families");
         let view = scraped
             .stores

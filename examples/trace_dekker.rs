@@ -28,14 +28,17 @@ fn main() {
 
     let dekker = Arc::new(AsymmetricDekker::new(Arc::new(SignalFence::new())));
     let done = Arc::new(AtomicBool::new(false));
+    let registered = Arc::new(AtomicBool::new(false));
 
     let primary = {
         let dekker = dekker.clone();
         let done = done.clone();
+        let registered = registered.clone();
         std::thread::Builder::new()
             .name("dekker-primary".into())
             .spawn(move || {
                 let primary = dekker.register_primary();
+                registered.store(true, Ordering::Release);
                 let mut entries = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     primary.with_lock(|| entries += 1);
@@ -50,6 +53,11 @@ fn main() {
         std::thread::Builder::new()
             .name("dekker-secondary".into())
             .spawn(move || {
+                // A secondary that runs before the primary registers has
+                // nobody to serialize, and its locks would trace nothing.
+                while !registered.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
                 for _ in 0..SECONDARY_LOCKS {
                     let _g = dekker.secondary_lock();
                 }

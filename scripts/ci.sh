@@ -150,6 +150,18 @@ echo "== zero-cost-when-disabled: trace feature compiles out =="
 cargo build --release --no-default-features -p lbmf
 cargo build --release --no-default-features -p lbmf-cilk
 
+echo "== bench harness: bench targets compile, tracing stays compiled out =="
+# Tier-1 never builds the [[bench]] targets, so build them here. The
+# harness renders its JSON rows through lbmf-trace; that dependency must
+# not switch on lbmf's `trace` feature (benchmarks measure the runtime,
+# not the tracer).
+cargo bench -p lbmf-bench --no-run
+if cargo tree -p lbmf-bench -e features -i lbmf | grep -q 'feature "trace"'; then
+    echo "lbmf-bench must build lbmf with the trace feature off" >&2
+    cargo tree -p lbmf-bench -e features -i lbmf >&2
+    exit 1
+fi
+
 echo "== obs smoke: quick record + schema self-check + advisory gate =="
 # Quick mode shrinks the mini-criterion window to 5 ms per batch so the
 # whole suite lands in a few seconds; the self-check re-parses the file
