@@ -3,40 +3,24 @@
 //!
 //! Two measurements:
 //!
-//! 1. **Real hardware**: one thread acquires/releases an uncontended
-//!    asymmetric Dekker lock; the strategy decides whether the entry fence
-//!    is a real `mfence`-class fence or a compiler fence.
+//! 1. **Real hardware**: the fence suite's `dekker_entry/*` cases
+//!    (`lbmf_bench::suite`): one thread acquires/releases an uncontended
+//!    asymmetric Dekker lock; the strategy decides whether the entry
+//!    fence is a real `mfence`-class fence or a compiler fence.
 //! 2. **Simulated machine**: the same serial Dekker loop on the
 //!    cycle-level TSO model, for each fence kind of the paper.
 //!
 //! ```text
 //! cargo run --release -p lbmf-bench --bin fig_dekker_slowdown [--iters N]
 //! ```
+//!
+//! `--iters` sets the simulated iterations (capped at 20,000);
+//! `LBMF_BENCH_MS` sets the measurement window per real-hardware batch.
 
-use lbmf::prelude::*;
-use lbmf_bench::{best_of, ns_per_op, Args, Table};
+use lbmf_bench::criterion::Criterion;
+use lbmf_bench::suite::fence_cases;
+use lbmf_bench::{Args, Table};
 use lbmf_sim::prelude::*;
-use std::sync::Arc;
-
-fn real_dekker_ns<S: FenceStrategy>(strategy: Arc<S>, iters: u64) -> f64 {
-    let dekker = Arc::new(AsymmetricDekker::new(strategy));
-    let d = dekker.clone();
-    std::thread::spawn(move || {
-        let p = d.register_primary();
-        // Warm-up.
-        for _ in 0..1_000 {
-            p.with_lock(|| std::hint::black_box(()));
-        }
-        let (dt, _) = best_of(5, || {
-            for _ in 0..iters {
-                p.with_lock(|| std::hint::black_box(()));
-            }
-        });
-        ns_per_op(dt, iters)
-    })
-    .join()
-    .expect("primary thread failed")
-}
 
 fn sim_dekker_cycles(kind: FenceKind, iters: u64) -> f64 {
     let opt = DekkerOptions {
@@ -64,14 +48,17 @@ fn main() {
     println!("(paper, Section 1: 4-7x slower with the fence on a 2 GHz Opteron)\n");
 
     // --- real hardware ---
-    let sym = real_dekker_ns(Arc::new(Symmetric::new()), iters);
-    let sig = real_dekker_ns(Arc::new(SignalFence::new()), iters);
-    let none = real_dekker_ns(Arc::new(NoFence::new()), iters);
+    let mut c = Criterion::default();
+    let [sym, sig, none] = fence_cases(
+        &mut c,
+        ["dekker_entry/symmetric", "dekker_entry/signal", "dekker_entry/no_fence"],
+    )
+    .map(|r| r.expect("dekker_entry case").min_ns);
     let mut t = Table::new(&["variant", "ns/entry", "slowdown vs fence-free"]);
     t.row(&["mfence (symmetric)".into(), format!("{sym:.1}"), format!("{:.2}x", sym / none)]);
     t.row(&["l-mfence (signal prototype)".into(), format!("{sig:.1}"), format!("{:.2}x", sig / none)]);
     t.row(&["no fence (broken)".into(), format!("{none:.1}"), "1.00x".into()]);
-    println!("real hardware ({} iterations, best of 5):", iters);
+    println!("real hardware (fastest of 5 timed batches):");
     t.print();
     println!();
 

@@ -2,77 +2,28 @@
 //! trip costs ≈10,000 cycles for the signal-based software prototype and
 //! ≈150 cycles for the proposed LE/ST hardware.
 //!
-//! Measured here:
+//! Measured here, the first three through the fence suite
+//! (`lbmf_bench::suite`) with a counter session attached, so the cycle
+//! column is each row's own PMU reading (rdtscp where perf is
+//! unavailable):
 //!
-//! * a real signal round trip (secondary sends, primary's handler acks);
-//! * a real `membarrier(2)` round trip (the kernel-assisted middle point);
-//! * a real `mfence`-class fence, for scale;
+//! * a real signal round trip to a parked thread (`serialize/signal_roundtrip`);
+//! * a real `membarrier(2)` round trip, the kernel-assisted middle point
+//!   (`serialize/membarrier_roundtrip`);
+//! * a real `mfence`-class fence, for scale (`fence/full_fence`);
 //! * the simulated LE/ST round trip on the cycle-level machine (a remote
 //!   read hitting a guarded location).
 //!
 //! ```text
-//! cargo run --release -p lbmf-bench --bin tbl_overhead [--reps N]
+//! cargo run --release -p lbmf-bench --bin tbl_overhead
 //! ```
+//!
+//! `LBMF_BENCH_MS` sets the measurement window per batch.
 
-use lbmf::prelude::*;
-use lbmf_bench::{best_of, ns_per_op, Args, Table};
+use lbmf_bench::criterion::{BenchResult, Criterion};
+use lbmf_bench::suite::fence_cases;
+use lbmf_bench::Table;
 use lbmf_sim::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-const CPU_GHZ: f64 = 2.1; // this host's nominal clock, for ns -> cycles
-
-fn measure_signal_roundtrip(reps: u64) -> f64 {
-    let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let stop2 = stop.clone();
-    let target = std::thread::spawn(move || {
-        let reg = register_current_thread();
-        tx.send(reg.remote()).unwrap();
-        while !stop2.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    });
-    let remote = rx.recv().unwrap();
-    // Warm-up.
-    for _ in 0..100 {
-        remote.serialize();
-    }
-    let (dt, _) = best_of(5, || {
-        for _ in 0..reps {
-            remote.serialize();
-        }
-    });
-    stop.store(true, Ordering::Relaxed);
-    target.join().unwrap();
-    ns_per_op(dt, reps)
-}
-
-fn measure_membarrier_roundtrip(reps: u64) -> Option<f64> {
-    let m = MembarrierFence::try_new()?;
-    let reg = register_current_thread();
-    let remote = reg.remote();
-    for _ in 0..100 {
-        m.serialize_remote(&remote);
-    }
-    let (dt, _) = best_of(5, || {
-        for _ in 0..reps {
-            m.serialize_remote(&remote);
-        }
-    });
-    Some(ns_per_op(dt, reps))
-}
-
-fn measure_mfence(reps: u64) -> f64 {
-    let (dt, _) = best_of(5, || {
-        for _ in 0..reps {
-            full_fence();
-            std::hint::black_box(());
-        }
-    });
-    ns_per_op(dt, reps)
-}
 
 /// Simulated LE/ST round trip: CPU1 reads a location guarded by CPU0's
 /// live link; the cost charged to CPU1's load is the round trip.
@@ -96,26 +47,28 @@ fn sim_lest_roundtrip() -> u64 {
 }
 
 fn main() {
-    let args = Args::parse();
-    let reps: u64 = args.get("--reps", 5_000);
-
     println!("E2: serialization round-trip costs (paper, Section 5)\n");
-    let sig_ns = measure_signal_roundtrip(reps);
-    let mb_ns = measure_membarrier_roundtrip(reps);
-    let fence_ns = measure_mfence(reps * 20);
+    let mut c = Criterion::default().with_pmu();
+    let [sig, mb, fence] = fence_cases(
+        &mut c,
+        ["serialize/signal_roundtrip", "serialize/membarrier_roundtrip", "fence/full_fence"],
+    );
+    let (sig, fence) = (sig.expect("signal round trip"), fence.expect("full fence"));
     let lest_cycles = sim_lest_roundtrip();
 
-    let mut t = Table::new(&["mechanism", "measured", "≈cycles @2.1GHz", "paper"]);
+    // Mean ns and cycles/op cover the same timed batches.
+    let cycles = |r: &BenchResult| r.pmu.as_ref().expect("with_pmu attaches a reading").cycles_per_op;
+    let mut t = Table::new(&["mechanism", "measured", "cycles/op", "paper"]);
     t.row(&[
         "signal round trip (software prototype)".into(),
-        format!("{sig_ns:.0} ns"),
-        format!("{:.0}", sig_ns * CPU_GHZ),
+        format!("{:.0} ns", sig.mean_ns),
+        format!("{:.0}", cycles(&sig)),
         "~10,000 cycles".into(),
     ]);
     t.row(&[
         "membarrier round trip (kernel asym. fence)".into(),
-        mb_ns.map(|v| format!("{v:.0} ns")).unwrap_or("n/a".into()),
-        mb_ns.map(|v| format!("{:.0}", v * CPU_GHZ)).unwrap_or("-".into()),
+        mb.as_ref().map_or("n/a".into(), |r| format!("{:.0} ns", r.mean_ns)),
+        mb.as_ref().map_or("-".into(), |r| format!("{:.0}", cycles(r))),
         "(not in paper)".into(),
     ]);
     t.row(&[
@@ -126,13 +79,20 @@ fn main() {
     ]);
     t.row(&[
         "mfence (for scale)".into(),
-        format!("{fence_ns:.1} ns"),
-        format!("{:.0}", fence_ns * CPU_GHZ),
+        format!("{:.1} ns", fence.mean_ns),
+        format!("{:.0}", cycles(&fence)),
         "tens of cycles".into(),
     ]);
     t.print();
+    if let Some((source, reason)) = c.pmu_status() {
+        println!(
+            "cycles/op: {} reading{}",
+            source.name(),
+            reason.map_or(String::new(), |r| format!(" (degraded: {r})"))
+        );
+    }
 
-    let measured_ratio = sig_ns * CPU_GHZ / lest_cycles as f64;
+    let measured_ratio = cycles(&sig) / lest_cycles as f64;
     println!(
         "\nshape check: signal/LE-ST ratio = {measured_ratio:.0}x \
          (paper: 10000/150 ≈ 67x) — the software prototype is ~2 orders of \

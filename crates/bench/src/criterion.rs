@@ -1,7 +1,7 @@
 //! Minimal drop-in replacement for the slice of the `criterion` API the
 //! benches under `benches/` use. The hosts build offline, so the real
 //! `criterion` crate (a registry dependency) is unavailable; this module
-//! keeps the four bench binaries compiling and producing useful
+//! keeps the bench binaries compiling and producing useful
 //! nanosecond-per-iteration numbers with no external dependencies.
 //!
 //! Protocol per benchmark: calibrate the iteration count by doubling until
@@ -11,6 +11,9 @@
 //! of variation across batches — the noise figure `lbmf-obs compare`
 //! scales its regression thresholds by. Tune the measurement window with
 //! `LBMF_BENCH_MS` (milliseconds per batch, default 50).
+//!
+//! Progress lines go to stderr, so a tool that prints a document on
+//! stdout (`lbmf-obs pmu --json`) can run benchmarks in process.
 //!
 //! Structured output: every completed benchmark is also available as a
 //! [`BenchResult`] via [`Criterion::results`], and — when the
@@ -166,6 +169,19 @@ impl Criterion {
         self
     }
 
+    /// Attach the given counter session (replacing any other), e.g. one
+    /// pinned to the rdtscp fallback. [`Criterion::into_pmu`] hands it
+    /// back.
+    pub fn with_session(mut self, session: PmuSession) -> Self {
+        self.pmu = Some(session);
+        self
+    }
+
+    /// The attached counter session, if any.
+    pub fn into_pmu(self) -> Option<PmuSession> {
+        self.pmu
+    }
+
     /// The attached PMU session's source and degradation reason, if a
     /// session is attached (`lbmf-obs record` surfaces this in host
     /// metadata without waiting for the first benchmark).
@@ -178,12 +194,12 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let report = run_benchmark(self.target, &mut f, self.pmu.as_mut());
-        println!("{}", report.render(name));
+        eprintln!("{}", report.render(name));
         let mut result = report.to_result(name);
         result.pmu = self.pmu.as_mut().map(|s| s.take_reading());
         if let Some(pmu) = &result.pmu {
             let (stall_name, stall) = pmu.stall_metric();
-            println!(
+            eprintln!(
                 "{:<44} pmu:  [{:>10.1} cyc/op  ipc {}  {stall_name}/op {:.1}]  source {}{}",
                 "",
                 pmu.cycles_per_op,

@@ -4,8 +4,7 @@
 //! the experiment index and the recorded outputs.
 
 pub mod criterion;
-
-use std::time::{Duration, Instant};
+pub mod suite;
 
 /// Minimal flag parser: `--key value`, `--flag`, bare positionals ignored.
 pub struct Args {
@@ -98,33 +97,10 @@ impl Table {
     }
 }
 
-/// Run `f` `reps` times and return the minimum duration (robust to noise
-/// on a busy single-core host).
-pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
-    assert!(reps >= 1);
-    let mut best: Option<Duration> = None;
-    let mut last: Option<T> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let out = f();
-        let dt = t0.elapsed();
-        if best.map(|b| dt < b).unwrap_or(true) {
-            best = Some(dt);
-        }
-        last = Some(out);
-    }
-    (best.unwrap(), last.unwrap())
-}
-
 /// Format a ratio with a qualitative marker (`<1` favours the asymmetric
 /// runtime).
 pub fn ratio_cell(r: f64) -> String {
     format!("{r:.3}")
-}
-
-/// Nanoseconds-per-op formatting.
-pub fn ns_per_op(total: Duration, ops: u64) -> f64 {
-    total.as_nanos() as f64 / ops.max(1) as f64
 }
 
 #[cfg(test)]
@@ -152,21 +128,5 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("name"));
         assert!(lines[3].contains("longer"));
-    }
-
-    #[test]
-    fn best_of_returns_min() {
-        let mut n = 0u64;
-        let (d, _) = best_of(3, || {
-            n += 1;
-            std::thread::sleep(Duration::from_micros(50 * n));
-        });
-        assert!(d < Duration::from_millis(5));
-    }
-
-    #[test]
-    fn ns_per_op_divides() {
-        assert_eq!(ns_per_op(Duration::from_nanos(1000), 10), 100.0);
-        assert_eq!(ns_per_op(Duration::from_nanos(1000), 0), 1000.0);
     }
 }

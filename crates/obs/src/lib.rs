@@ -43,7 +43,7 @@
 //!   committed `BENCH_*.json` recordings and reports %/recording slopes
 //!   against each benchmark's own noise floor — the slow-drift detector
 //!   pairwise `compare` cannot be.
-//! * **`pmu`** ([`pmu`]) re-runs the fence suite under hardware PMU
+//! * **`pmu`** ([`pmu`]) runs the recording suite under hardware PMU
 //!   counter groups (`lbmf-pmu`, raw `perf_event_open`) and prints a
 //!   per-strategy attribution table — cycles, IPC, cache misses, stall
 //!   cycles per op — with `--json` / `--prometheus` renders and a

@@ -70,10 +70,10 @@ heat:     the workload observatory: reassemble the hot-key / shard-skew
           --expect-theta F exits 2 unless every store's theta lands
           within --theta-tol (default 0.1) of F; --require-heat exits 1
           when no heat families were found at all (disarmed plane).
-pmu:      the microarchitectural observatory: re-run the fence suite
-          (E1 dekker entry per strategy, raw fence costs, the store
-          read path symmetric-vs-signal, the E2 serialize round trip)
-          under hardware PMU counter groups and print per-strategy
+pmu:      the microarchitectural observatory: run record's suite
+          (E1 dekker entry per strategy, raw fence costs, the E2
+          serialize round trips, the fib steal run, the store read and
+          write paths) under hardware PMU counter groups and print per-strategy
           attribution — cycles, IPC, cache misses and stall cycles per
           op. Hosts without perf_event_open degrade to a reported
           rdtscp cycles-only fallback (also forceable with

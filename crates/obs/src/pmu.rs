@@ -1,15 +1,13 @@
 //! `lbmf-obs pmu` — microarchitectural attribution for fence
-//! strategies: the fence suite re-run under hardware counter groups.
+//! strategies: a view over the recording run.
 //!
 //! Wall-clock rows (`record`) say *how long* a strategy's fast path
 //! takes; this module says *where the cycles go*: instructions retired,
 //! cache misses taken, and — where the host exposes the events — the
-//! stall cycles the mfence-position store-buffer drain costs. The
-//! measured loops are deliberately the recording suite's own (E1 dekker
-//! entry via [`AsymmetricDekker`], the store read path via
-//! [`lbmf_store::ReadLoop`], E2 serialize round trip via a parked
-//! target thread), so a `pmu` row and a `record` row with the same name
-//! price the same code.
+//! stall cycles the mfence-position store-buffer drain costs. It runs
+//! `record`'s own suite ([`crate::suite`]) with the given
+//! counter session and keeps each entry's `pmu` block, so a `pmu` row
+//! and a `record` row with the same name are the same measurement.
 //!
 //! Degradation is a first-class outcome, not an error: a host without
 //! `perf_event_open` (container, VM, `perf_event_paranoid` lockdown)
@@ -22,17 +20,12 @@
 //! delta cannot attribute *why* cycles were spent.
 
 use crate::schema::pmu_from_json;
-use lbmf::dekker::AsymmetricDekker;
-use lbmf::fence::{compiler_fence_only, full_fence};
-use lbmf::strategy::{FenceStrategy, NoFence, SignalFence, Symmetric};
 use lbmf_bench::criterion::pmu_to_json;
 use lbmf_pmu::{PmuReading, PmuSession, PmuSource};
 use lbmf_trace::json::{obj, Json};
 use lbmf_trace::prometheus::Sample;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hint::black_box;
-use std::sync::Arc;
 
 /// The schema tag `render_json` writes and `parse` accepts.
 pub const PMU_SCHEMA: &str = "lbmf-pmu/1";
@@ -62,7 +55,7 @@ pub struct PmuReport {
     pub source: PmuSource,
     /// Why the session degraded, iff `source == Tsc`.
     pub degraded_reason: Option<String>,
-    /// Whether the quick (CI smoke) iteration counts were used.
+    /// Whether the quick (CI smoke) batch window was used.
     pub quick: bool,
     /// Attribution rows, suite order.
     pub rows: Vec<PmuRow>,
@@ -91,122 +84,28 @@ impl ReadAsymmetry {
     }
 }
 
-/// Run `f` `iters` times inside one counter scope (plus an unmeasured
-/// warmup an eighth as long) and fold the session into a reading.
-fn measure(session: &mut PmuSession, iters: u64, mut f: impl FnMut()) -> PmuReading {
-    for _ in 0..(iters / 8).max(1) {
-        f();
-    }
-    {
-        let _scope = session.scope(iters);
-        for _ in 0..iters {
-            f();
-        }
-    }
-    session.take_reading()
-}
-
-fn strategy_row<S: FenceStrategy>(
-    session: &mut PmuSession,
-    name: &str,
-    strategy: &Arc<S>,
-    iters: u64,
-    f: impl FnMut(),
-) -> PmuRow {
-    PmuRow {
-        name: name.to_string(),
-        strategy: Some(strategy.name().to_string()),
-        reading: measure(session, iters, f),
-    }
-}
-
 /// Run the fence suite under a fresh [`PmuSession`] (honoring
 /// `LBMF_PMU_FORCE`).
 pub fn run(quick: bool) -> PmuReport {
     run_with(&mut PmuSession::new(), quick)
 }
 
-/// Run the fence suite under the given session — E1 dekker entry per
-/// strategy, the raw fence costs for scale, the store read path under
-/// the symmetric baseline and the asymmetric prototype, and the E2
-/// serialize round trip.
+/// The recording run (`suite::run_with`) under the given
+/// session, viewed as attribution rows: one per entry that carries a
+/// `pmu` block, in suite order (the simulated `store/des/*` projections
+/// carry none).
 pub fn run_with(session: &mut PmuSession, quick: bool) -> PmuReport {
-    let fast: u64 = if quick { 200_000 } else { 2_000_000 };
-    let slow: u64 = if quick { 500 } else { 4_000 };
-    let mut rows = Vec::new();
-
-    // E1: uncontended primary entry per strategy — the same single-
-    // threaded protocol the suite times, now with the drain attributed.
-    {
-        let strategy = Arc::new(Symmetric::new());
-        let dekker = Arc::new(AsymmetricDekker::new(strategy.clone()));
-        let primary = dekker.register_primary();
-        rows.push(strategy_row(session, "dekker_entry/symmetric", &strategy, fast, || {
-            primary.with_lock(|| black_box(()))
-        }));
-    }
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let dekker = Arc::new(AsymmetricDekker::new(strategy.clone()));
-        let primary = dekker.register_primary();
-        rows.push(strategy_row(session, "dekker_entry/signal", &strategy, fast, || {
-            primary.with_lock(|| black_box(()))
-        }));
-    }
-    {
-        let strategy = Arc::new(NoFence::new());
-        let dekker = Arc::new(AsymmetricDekker::new(strategy.clone()));
-        let primary = dekker.register_primary();
-        rows.push(strategy_row(session, "dekker_entry/no_fence", &strategy, fast, || {
-            primary.with_lock(|| black_box(()))
-        }));
-    }
-
-    // Raw fence costs, for scale.
-    rows.push(PmuRow {
-        name: "fence/full_fence".into(),
-        strategy: None,
-        reading: measure(session, fast, || {
-            full_fence();
-            black_box(())
-        }),
-    });
-    rows.push(PmuRow {
-        name: "fence/compiler_fence".into(),
-        strategy: None,
-        reading: measure(session, fast, || {
-            compiler_fence_only();
-            black_box(())
-        }),
-    });
-
-    // The store read path: the canonical ReadLoop under the mfence
-    // baseline and the asymmetric prototype — the pair the
-    // read-asymmetry verdict compares.
-    {
-        let strategy = Arc::new(Symmetric::new());
-        let mut rl = lbmf_store::ReadLoop::new(strategy.clone());
-        rows.push(strategy_row(session, "store/get/symmetric", &strategy, fast, || {
-            black_box(rl.read_next());
-        }));
-    }
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let mut rl = lbmf_store::ReadLoop::new(strategy.clone());
-        rows.push(strategy_row(session, "store/get/signal", &strategy, fast, || {
-            black_box(rl.read_next());
-        }));
-    }
-
-    // E2: one remote serialization round trip to a parked target.
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let target = crate::suite::Target::spawn();
-        rows.push(strategy_row(session, "serialize/signal_roundtrip", &strategy, slow, || {
-            strategy.serialize_remote(&target.remote)
-        }));
-    }
-
+    let rows = crate::suite::run_with(session, quick)
+        .benchmarks
+        .into_iter()
+        .filter_map(|e| {
+            Some(PmuRow {
+                reading: e.result.pmu?,
+                name: e.result.name,
+                strategy: e.strategy,
+            })
+        })
+        .collect();
     PmuReport {
         source: session.source(),
         degraded_reason: session.degraded_reason().map(str::to_string),
@@ -673,6 +572,8 @@ mod tests {
             "store/get/symmetric",
             "store/get/signal",
             "serialize/signal_roundtrip",
+            "steal/fib_test",
+            "store/put/signal",
         ] {
             assert!(names.contains(&expect), "missing {expect}: {names:?}");
         }

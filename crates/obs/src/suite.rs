@@ -5,29 +5,25 @@
 //! the serialize round-trip latency percentiles drained from the trace
 //! rings.
 //!
-//! The suite mirrors the paper's measurement axes:
+//! The fence cases (`dekker_entry/*`, `fence/*`, `serialize/*`,
+//! `steal/fib_test`) are [`lbmf_bench::suite::fence_suite`], the list
+//! `cargo bench` and the E1/E2 figure binaries also run. This module
+//! adds what `lbmf-bench` cannot build:
 //!
-//! * `dekker_entry/*` — E1, the uncontended primary fast path per
-//!   strategy (the headline asymmetric-vs-`mfence` number);
-//! * `fence/*` — the raw cost of the two fence flavours, for scale;
-//! * `serialize/signal_roundtrip` — E2, one remote serialization;
-//! * `steal/fib_test` — a whole ACilk-5 work-stealing run, the
-//!   macro-benchmark the fast-path numbers are supposed to add up to;
 //! * `store/get/*`, `store/put/signal` — the lbmf-store serving tier:
 //!   the epoch-pinned read fast path per strategy, and a write paying
 //!   one remote serialization to a registered reader;
 //! * `store/des/*@64c` — the same Zipfian workload replayed through
 //!   `lbmf-des` at 64 simulated cores (deterministic projections).
+//!
+//! [`FenceStats`]: lbmf::stats::FenceStats
 
 use crate::schema::{BenchEntry, BenchReport, HostMeta, SerializeLatency};
-use lbmf::dekker::AsymmetricDekker;
-use lbmf::fence::{compiler_fence_only, full_fence};
-use lbmf::registry::register_current_thread;
-use lbmf::strategy::{FenceStrategy, NoFence, SignalFence, Symmetric};
+use lbmf::strategy::{FenceStrategy, SignalFence, Symmetric};
 use lbmf_bench::criterion::{BenchResult, Criterion};
-use lbmf_cilk::bench::{Kernel, Scale};
-use lbmf_cilk::Scheduler;
+use lbmf_bench::suite::{fence_suite, Harness};
 use lbmf_des::SerializeKind;
+use lbmf_pmu::PmuSession;
 use lbmf_store::workload::CYCLES_PER_NS;
 use lbmf_store::{ReclaimMode, Store, WorkloadCfg};
 use lbmf_trace::json::{self, Json};
@@ -43,99 +39,43 @@ pub fn target_for(quick: bool) -> Duration {
     Duration::from_millis(if quick { 5 } else { 50 })
 }
 
-/// Run one benchmark and pair its timing with the strategy's counter
-/// diff over exactly that run.
-fn bench_with_stats<S: FenceStrategy>(
-    c: &mut Criterion,
-    name: &str,
-    strategy: &Arc<S>,
-    f: impl FnMut(&mut lbmf_bench::criterion::Bencher),
-) -> BenchEntry {
-    let before = strategy.stats().snapshot();
-    c.bench_function(name, f);
-    let after = strategy.stats().snapshot();
-    let result = c.results().last().expect("bench just ran").clone();
-    BenchEntry {
-        result,
-        strategy: Some(strategy.name().to_string()),
-        fence_stats: Some(after.diff(&before)),
-        serialize: None,
-    }
+/// Times each case through the mini-criterion and pairs it with the
+/// strategy's name and counter diff over exactly that run.
+struct Recorder {
+    c: Criterion,
+    entries: Vec<BenchEntry>,
 }
 
-fn bench_dekker_entry<S: FenceStrategy>(
-    c: &mut Criterion,
-    name: &str,
-    strategy: Arc<S>,
-) -> BenchEntry {
-    // Single-threaded throughout, so the recording thread is the primary.
-    let dekker = Arc::new(AsymmetricDekker::new(strategy.clone()));
-    let primary = dekker.register_primary();
-    bench_with_stats(c, name, &strategy, |b| {
-        b.iter(|| primary.with_lock(|| black_box(())))
-    })
-}
-
-/// A parked thread that serves as the remote-serialization target —
-/// shared with [`crate::pmu`] so E2 prices the same round trip under
-/// both clocks and counters.
-pub(crate) struct Target {
-    pub(crate) remote: lbmf::registry::RemoteThread,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Target {
-    pub(crate) fn spawn() -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let handle = std::thread::Builder::new()
-            .name("obs-serialize-target".into())
-            .spawn(move || {
-                let reg = register_current_thread();
-                tx.send(reg.remote()).unwrap();
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            })
-            .expect("spawn serialize target");
-        Target {
-            remote: rx.recv().unwrap(),
-            stop,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for Target {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+impl Harness for Recorder {
+    fn case<T>(&mut self, name: &str, strategy: Option<&dyn FenceStrategy>, body: impl FnMut() -> T) {
+        let before = strategy.map(|s| s.stats().snapshot());
+        let traced = serialize_latency_now().map_or(0, |sl| sl.count);
+        self.c.case(name, strategy, body);
+        self.entries.push(BenchEntry {
+            result: self.c.results().last().expect("case just ran").clone(),
+            strategy: strategy.map(|s| s.name().to_string()),
+            fence_stats: strategy.zip(before).map(|(s, b)| s.stats().snapshot().diff(&b)),
+            // Percentiles ride along whenever the case traced at least
+            // one new round trip.
+            serialize: serialize_latency_now().filter(|sl| sl.count > traced),
+        });
     }
 }
 
 /// The store's read fast path, uncontended: the canonical
 /// [`lbmf_store::ReadLoop`] (one epoch-pinned lookup per iteration over
-/// a prefilled working set) — the same loop `lbmf-obs pmu` attributes
-/// hardware counters to. Under `Symmetric` every lookup drains the
+/// a prefilled working set). Under `Symmetric` every lookup drains the
 /// store buffer at the l-mfence position; under the asymmetric
 /// strategies the same position is a compiler fence — the delta between
 /// the two entries is the paper's read-side win priced on a real data
 /// structure.
-fn bench_store_get<S: FenceStrategy>(
-    c: &mut Criterion,
-    name: &str,
-    strategy: Arc<S>,
-) -> BenchEntry {
+fn store_get<S: FenceStrategy>(h: &mut impl Harness, name: &str, strategy: Arc<S>) {
     let mut rl = lbmf_store::ReadLoop::new(strategy.clone());
-    bench_with_stats(c, name, &strategy, |b| b.iter(|| black_box(rl.read_next())))
+    h.case(name, Some(&*strategy), || rl.read_next());
 }
 
-/// A parked thread holding a live [`StoreHandle`], so a benchmarked
-/// writer has a registered remote reader to serialize.
+/// A parked thread holding a live [`StoreHandle`](lbmf_store::StoreHandle),
+/// so a benchmarked writer has a registered remote reader to serialize.
 struct ParkedStoreReader {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
@@ -169,6 +109,25 @@ impl Drop for ParkedStoreReader {
             let _ = h.join();
         }
     }
+}
+
+/// The serving-tier cases. Reads first: the same lookup under the
+/// mfence baseline and the asymmetric prototype — the store-level E1.
+/// Then a write paying the secondary's bill: copy-on-write publish plus
+/// one signal round trip to a parked registered reader.
+fn store_suite(h: &mut impl Harness) {
+    store_get(h, "store/get/symmetric", Arc::new(Symmetric::new()));
+    store_get(h, "store/get/signal", Arc::new(SignalFence::new()));
+
+    let strategy = Arc::new(SignalFence::new());
+    let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));
+    store.put(0, 1);
+    let _reader = ParkedStoreReader::spawn(store.clone());
+    let mut v = 1u64;
+    h.case("store/put/signal", Some(&*strategy), || {
+        v = v.wrapping_add(1) & (u64::MAX >> 1);
+        store.put(0, v)
+    });
 }
 
 /// Replay the canonical read-mostly store workload through `lbmf-des` at
@@ -217,94 +176,30 @@ pub fn serialize_latency_now() -> Option<SerializeLatency> {
 /// benchmark runs under a hardware counter scope (schema v3's `pmu`
 /// block); hosts without perf access get the reported rdtscp fallback.
 pub fn run(quick: bool) -> BenchReport {
-    let mut c = Criterion::with_target(target_for(quick)).with_pmu();
-    if let Some((source, reason)) = c.pmu_status() {
+    run_with(&mut PmuSession::new(), quick)
+}
+
+/// [`run`] under the given counter session, which the harness borrows
+/// for the run and hands back afterwards.
+pub(crate) fn run_with(session: &mut PmuSession, quick: bool) -> BenchReport {
+    let lent = std::mem::replace(session, PmuSession::tsc("lent to a recording run"));
+    let mut rec = Recorder {
+        c: Criterion::with_target(target_for(quick)).with_session(lent),
+        entries: Vec::new(),
+    };
+    if let Some((source, reason)) = rec.c.pmu_status() {
         match reason {
             None => eprintln!("pmu: hardware counters ({})", source.name()),
             Some(r) => eprintln!("pmu: degraded to {} — {r}", source.name()),
         }
     }
-    let mut benchmarks = Vec::new();
+    fence_suite(&mut rec);
+    store_suite(&mut rec);
+    *session = rec.c.into_pmu().expect("session attached above");
 
-    // E1: uncontended primary entry, per strategy. Symmetric is the
-    // mfence baseline, SignalFence the paper's asymmetric prototype,
-    // NoFence the (unsafe) lower bound on protocol cost.
-    benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/symmetric", Arc::new(Symmetric::new())));
-    benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/signal", Arc::new(SignalFence::new())));
-    benchmarks.push(bench_dekker_entry(&mut c, "dekker_entry/no_fence", Arc::new(NoFence::new())));
-
-    // Raw fence costs, for scale.
-    c.bench_function("fence/full_fence", |b| {
-        b.iter(|| {
-            full_fence();
-            black_box(())
-        })
-    });
-    benchmarks.push(BenchEntry::plain(c.results().last().unwrap().clone()));
-    c.bench_function("fence/compiler_fence", |b| {
-        b.iter(|| {
-            compiler_fence_only();
-            black_box(())
-        })
-    });
-    benchmarks.push(BenchEntry::plain(c.results().last().unwrap().clone()));
-
-    // E2: one remote serialization round trip (signal prototype). The
-    // trace rings capture each round trip's wait; percentiles of those
-    // waits ride along with the timing.
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let target = Target::spawn();
-        let hist_before = lbmf_trace::take_snapshot()
-            .latency_histogram(EventKind::SerializeDeliver)
-            .count();
-        let mut entry = bench_with_stats(&mut c, "serialize/signal_roundtrip", &strategy, |b| {
-            b.iter(|| strategy.serialize_remote(&target.remote))
-        });
-        entry.serialize = serialize_latency_now().filter(|sl| sl.count > hist_before);
-        benchmarks.push(entry);
-    }
-
-    // The macro-benchmark: a whole work-stealing fib run on the
-    // asymmetric runtime (2 workers so steals actually happen).
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let sched = Scheduler::new(2, strategy.clone());
-        benchmarks.push(bench_with_stats(&mut c, "steal/fib_test", &strategy, |b| {
-            b.iter(|| black_box(Kernel::Fib.run_timed(&sched, Scale::Test).checksum))
-        }));
-    }
-
-    // The serving tier. Reads first: the same lookup under the mfence
-    // baseline and the asymmetric prototype — the store-level E1.
-    benchmarks.push(bench_store_get(&mut c, "store/get/symmetric", Arc::new(Symmetric::new())));
-    benchmarks.push(bench_store_get(&mut c, "store/get/signal", Arc::new(SignalFence::new())));
-
-    // Then a write paying the secondary's bill: copy-on-write publish
-    // plus one signal round trip to a parked registered reader, with the
-    // round-trip percentiles riding along as for E2.
-    {
-        let strategy = Arc::new(SignalFence::new());
-        let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));
-        store.put(0, 1);
-        let reader = ParkedStoreReader::spawn(store.clone());
-        let hist_before = lbmf_trace::take_snapshot()
-            .latency_histogram(EventKind::SerializeDeliver)
-            .count();
-        let mut v = 1u64;
-        let mut entry = bench_with_stats(&mut c, "store/put/signal", &strategy, |b| {
-            b.iter(|| {
-                v = v.wrapping_add(1) & (u64::MAX >> 1);
-                black_box(store.put(0, v))
-            })
-        });
-        entry.serialize = serialize_latency_now().filter(|sl| sl.count > hist_before);
-        drop(reader);
-        benchmarks.push(entry);
-    }
-
-    // And the projection: the identical Zipfian schedule replayed through
+    // The projection: the identical Zipfian schedule replayed through
     // the DES at 64 simulated cores, per serialization mechanism.
+    let mut benchmarks = rec.entries;
     for (name, kind) in [
         ("store/des/symmetric@64c", SerializeKind::Symmetric),
         ("store/des/signal@64c", SerializeKind::Signal),

@@ -150,15 +150,24 @@ echo "== zero-cost-when-disabled: trace feature compiles out =="
 cargo build --release --no-default-features -p lbmf
 cargo build --release --no-default-features -p lbmf-cilk
 
-echo "== bench harness: bench targets compile, tracing stays compiled out =="
-# Tier-1 never builds the [[bench]] targets, so build them here. The
-# harness renders its JSON rows through lbmf-trace; that dependency must
-# not switch on lbmf's `trace` feature (benchmarks measure the runtime,
-# not the tracer).
+echo "== bench harness: bench targets build and run, tracing and hooks stay compiled out =="
+# Tier-1 never builds the [[bench]] targets, so build them here, and run
+# the fence suite with a 1 ms window so its cases are exercised, not just
+# compiled. The harness renders its JSON rows through lbmf-trace; that
+# dependency must not switch on lbmf's `trace` feature (benchmarks
+# measure the runtime, not the tracer).
 cargo bench -p lbmf-bench --no-run
+LBMF_BENCH_MS=1 cargo bench -p lbmf-bench --bench fence_suite
 if cargo tree -p lbmf-bench -e features -i lbmf | grep -q 'feature "trace"'; then
     echo "lbmf-bench must build lbmf with the trace feature off" >&2
     cargo tree -p lbmf-bench -e features -i lbmf >&2
+    exit 1
+fi
+# The root examples print measured comparisons; none of the root
+# package's dependencies may route them through the checker's hooks.
+if cargo tree -p lbmf-repro -e features -i lbmf | grep -q 'feature "check-hooks"'; then
+    echo "root examples must build lbmf without check-hooks" >&2
+    cargo tree -p lbmf-repro -e features -i lbmf >&2
     exit 1
 fi
 
