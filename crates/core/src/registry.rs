@@ -153,11 +153,23 @@ impl RemoteThread {
             sival_ptr: Arc::as_ptr(&self.slot) as *mut c_void,
         };
         let pthread = self.slot.pthread.load(Ordering::Acquire) as sys::pthread_t;
-        let rc = unsafe { sys::pthread_sigqueue(pthread, sig, value) };
-        if rc != 0 {
-            // ESRCH etc.: the thread is gone; nothing to serialize.
-            self.slot.active.store(false, Ordering::Release);
-            return false;
+        loop {
+            // SAFETY: `pthread` names a registered thread; `value` points
+            // at the slot, which the Arc in `self` keeps alive.
+            match unsafe { sys::pthread_sigqueue(pthread, sig, value) } {
+                0 => break,
+                // The signal queue (or RLIMIT_SIGPENDING) is full for
+                // now. The thread is alive and unserialized: try again.
+                sys::EAGAIN if self.slot.is_active() => std::thread::yield_now(),
+                // The thread is gone: nothing to serialize, ever again.
+                sys::ESRCH => {
+                    self.slot.active.store(false, Ordering::Release);
+                    return false;
+                }
+                // Deregistered while we retried, or an error that says
+                // nothing about the thread's liveness.
+                _ => return false,
+            }
         }
         trace_event_corr!(SerializeSignalSent, self.key(), corr);
         crate::fence::spin_until(|| {

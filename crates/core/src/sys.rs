@@ -93,6 +93,11 @@ impl siginfo_t {
     }
 }
 
+/// `errno`: resource temporarily unavailable (e.g. a full signal queue).
+pub const EAGAIN: c_int = 11;
+/// `errno`: no such process or thread.
+pub const ESRCH: c_int = 3;
+
 /// Deliver extra handler arguments (`siginfo_t`, context).
 pub const SA_SIGINFO: c_int = 4;
 /// Restart interruptible syscalls instead of failing them with `EINTR`.

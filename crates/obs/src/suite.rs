@@ -10,9 +10,11 @@
 //! `cargo bench` and the E1/E2 figure binaries also run. This module
 //! adds what `lbmf-bench` cannot build:
 //!
-//! * `store/get/*`, `store/put/signal` — the lbmf-store serving tier:
-//!   the epoch-pinned read fast path per strategy, and a write paying
-//!   one remote serialization to a registered reader;
+//! * `store/get/*`, `store/put/signal`, `store/put/signal@64k` — the
+//!   lbmf-store serving tier: the epoch-pinned read fast path per
+//!   strategy, and a write paying one remote serialization to a
+//!   registered reader, on a one-key store and on a serving-sized one
+//!   (8 shards × 8 Ki keys) where the copy-on-write shows too;
 //! * `store/des/*@64c` — the same Zipfian workload replayed through
 //!   `lbmf-des` at 64 simulated cores (deterministic projections).
 //!
@@ -114,20 +116,36 @@ impl Drop for ParkedStoreReader {
 /// The serving-tier cases. Reads first: the same lookup under the
 /// mfence baseline and the asymmetric prototype — the store-level E1.
 /// Then a write paying the secondary's bill: copy-on-write publish plus
-/// one signal round trip to a parked registered reader.
+/// one signal round trip to a parked registered reader, first on a
+/// one-key store, then round-robin over a prefilled 64 Ki-key one.
 fn store_suite(h: &mut impl Harness) {
     store_get(h, "store/get/symmetric", Arc::new(Symmetric::new()));
     store_get(h, "store/get/signal", Arc::new(SignalFence::new()));
 
     let strategy = Arc::new(SignalFence::new());
-    let store = Arc::new(Store::new(strategy.clone(), 1, 64, ReclaimMode::Free));
-    store.put(0, 1);
-    let _reader = ParkedStoreReader::spawn(store.clone());
-    let mut v = 1u64;
-    h.case("store/put/signal", Some(&*strategy), || {
-        v = v.wrapping_add(1) & (u64::MAX >> 1);
-        store.put(0, v)
-    });
+    for (name, shards, keys) in [
+        ("store/put/signal", 1, 1u64),
+        ("store/put/signal@64k", 8, 64 * 1024),
+    ] {
+        let capacity = (keys as usize / shards).max(64);
+        let store = Arc::new(Store::new(
+            strategy.clone(),
+            shards,
+            capacity,
+            ReclaimMode::Free,
+        ));
+        // Prefill before the reader registers: no serializations.
+        for k in 0..keys {
+            store.put(k, k + 1);
+        }
+        let _reader = ParkedStoreReader::spawn(store.clone());
+        let (mut k, mut v) = (0u64, 1u64);
+        h.case(name, Some(&*strategy), || {
+            k = (k + 1) % keys;
+            v = v.wrapping_add(1) & (u64::MAX >> 1);
+            store.put(k, v)
+        });
+    }
 }
 
 /// Replay the canonical read-mostly store workload through `lbmf-des` at

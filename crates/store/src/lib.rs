@@ -13,10 +13,13 @@
 //!   `l-mfence` targets, so under an asymmetric strategy the entire read
 //!   is fence-free and RMW-free — the model-check suite proves both the
 //!   safety of the protocol and the *purity* of that fast path.
-//! * **Writes** copy-on-write a shard's table, publish it with one
-//!   pointer store, and then pay the secondary's bill: one remote
-//!   serialization per registered reader (signal, membarrier, or the
-//!   symmetric no-op) before reclaiming the retired snapshot.
+//! * **Writes** copy-on-write a shard's table — a new directory that
+//!   shares every chunk but the one the key lives in, so a put copies
+//!   about 8 KiB whatever the shard holds — publish it with one pointer
+//!   store, and then pay the secondary's bill: one remote serialization
+//!   per registered reader (signal, membarrier, or the symmetric no-op)
+//!   before reclaiming the retired snapshot's directory and the one
+//!   chunk it no longer shares.
 //!
 //! The [`workload`] module generates deterministic Zipfian op streams
 //! and replays them two ways — real threads on this host, and
@@ -52,7 +55,7 @@ pub use microbench::ReadLoop;
 pub use shard::{ReaderSlot, ReclaimMode, Shard, ShardProbe};
 pub use stats::{StoreStats, StoreStatsSnapshot};
 pub use store::{shard_index, Store, StoreHandle, WedgedReader};
-pub use table::{Table, EMPTY_KEY, POISON};
+pub use table::{Table, CHUNK_ENTRIES, EMPTY_KEY, POISON};
 pub use workload::{
     build_store, kv_schedule, ops_for_core, project, project_heat, run, Op, WorkloadCfg,
     WorkloadReport,

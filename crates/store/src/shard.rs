@@ -3,9 +3,11 @@
 //!
 //! # The protocol
 //!
-//! The shard holds a pointer to an immutable [`Table`] snapshot plus a
-//! monotonically increasing epoch (starting at 1; pin value 0 means "not
-//! reading"). Each registered reader owns a cache-padded pin word.
+//! The shard holds a pointer to an immutable [`Table`] snapshot (a
+//! directory of immutable chunks, most of them shared with the previous
+//! and the next snapshot) plus a monotonically increasing epoch
+//! (starting at 1; pin value 0 means "not reading"). Each registered
+//! reader owns a cache-padded pin word.
 //!
 //! **Reader** (the paper's *primary* — the side `l-mfence` makes free):
 //!
@@ -21,7 +23,8 @@
 //!
 //! **Writer** (the *secondary*), under the shard's writer mutex:
 //!
-//! 1. build the copy-on-write table;
+//! 1. build the copy-on-write table: a new directory sharing every chunk
+//!    but the one the key lives in, which is rebuilt;
 //! 2. publish: store the new table pointer **first**, then `epoch ← e+1`.
 //!    TSO commits the buffer FIFO, so no thread can observe the new epoch
 //!    with the old pointer. (The opposite order would be unsound: a
@@ -29,7 +32,8 @@
 //!    protected by the reclamation rule below.)
 //! 3. `strategy.secondary_fence()` — the publication is globally visible
 //!    before anything downstream;
-//! 4. retire the old table into limbo at `retire_epoch = e+1`;
+//! 4. retire the old table into limbo at `retire_epoch = e+1`, with the
+//!    index of the one chunk its successor replaced;
 //! 5. serialize every registered reader
 //!    ([`FenceStrategy::serialize_remote`]) — for the asymmetric
 //!    strategies this drains each reader's store buffer (the signal /
@@ -37,6 +41,8 @@
 //!    every pin stored *before* the serialization point visible;
 //! 6. load the pins and reclaim each limbo table whose
 //!    `retire_epoch = r` satisfies: **no** visible nonzero pin `p < r`.
+//!    Reclaiming drops the retired directory, or in
+//!    [`ReclaimMode::Poison`] poisons its replaced chunk.
 //!
 //! # Why reclamation is safe
 //!
@@ -59,6 +65,21 @@
 //!   pointer load happens after the writer's `secondary_fence`, and it
 //!   too sees the new pointer. (The classic store-buffer/Dekker
 //!   argument, with the pin and the table pointer as the two cells.)
+//!
+//! # Why shared chunks change nothing
+//!
+//! A retired table shares all its chunks but one with its successor. In
+//! [`ReclaimMode::Free`] reclaiming drops the directory, which drops one
+//! reference per chunk: a chunk is freed only when no directory holds it
+//! any more — that is, when every table containing it was itself
+//! reclaimed by the rule above. The replaced chunk is the one chunk only
+//! the retired table (and tables older than it) contain: every later
+//! table descends from the successor, which holds a freshly built chunk
+//! in its place. Limbo is reclaimed in retire-epoch order (a pin that
+//! protects `r` protects every later retire epoch too), so the older
+//! tables are gone before it. That is why [`ReclaimMode::Poison`] may
+//! overwrite the replaced chunk, and must never touch another chunk of
+//! the retired table: those are still live.
 //!
 //! [`NoFence`](lbmf::strategy::NoFence) breaks exactly step 5 (its
 //! `serialize_remote` is a no-op) while its readers still skip the
@@ -83,11 +104,12 @@ pub enum ReclaimMode {
     /// Free the allocation (production behavior).
     Free,
     /// Model allocator reuse without the undefined behavior: overwrite
-    /// the table's values with [`POISON`](crate::table::POISON) and keep
-    /// the allocation in a graveyard. A protocol bug that lets a reader
-    /// touch a reclaimed table becomes a memory-safe, observable torn
-    /// read — which is how the check suite catches the
-    /// [`NoFence`](lbmf::strategy::NoFence) control.
+    /// the values of the chunk the table's successor replaced with
+    /// [`POISON`](crate::table::POISON) and keep the allocation in a
+    /// graveyard. A protocol bug that lets a reader touch a reclaimed
+    /// table becomes a memory-safe, observable torn read — which is how
+    /// the check suite catches the [`NoFence`](lbmf::strategy::NoFence)
+    /// control.
     Poison,
 }
 
@@ -144,7 +166,9 @@ pub struct ShardProbe {
     pub epoch: u64,
     /// Retired tables awaiting reclamation (mirror; see [`Shard::health_probe`]).
     pub limbo_depth: u64,
-    /// Bytes those tables hold.
+    /// Bytes those tables pin on their own: each one's directory and the
+    /// chunk its successor replaced (every other chunk is shared with a
+    /// live table).
     pub limbo_bytes: u64,
     /// Poisoned allocations kept alive (poison mode).
     pub graveyard: u64,
@@ -173,8 +197,12 @@ struct LimboEntry {
     /// `p < retire_epoch` may still reach it.
     retire_epoch: u64,
     table: *mut Table,
-    /// The table's heap footprint, captured at retirement so the bytes
-    /// gauge never dereferences a table a racing Drop could free.
+    /// Directory index of the chunk the successor replaced: the only
+    /// chunk of `table` no live table shares.
+    replaced: usize,
+    /// What the entry pins on its own (directory + replaced chunk),
+    /// captured at retirement so the bytes gauge never dereferences a
+    /// table a racing Drop could free.
     bytes: u64,
 }
 
@@ -339,7 +367,8 @@ impl<S: FenceStrategy> Shard<S> {
         // Probe HWM is computed while building the copy (writer-side);
         // grab it before publication hands the table to readers.
         let next_hwm = next_box.probe_hwm() as u64;
-        let retired_bytes = cur.bytes() as u64;
+        let replaced = cur.chunk_index(key);
+        let retired_bytes = cur.retired_bytes(replaced) as u64;
         let next = Box::into_raw(next_box);
         let retire_epoch = w.epoch_value + 1;
         // Publish pointer FIRST, then epoch (TSO FIFO commit: no observer
@@ -354,6 +383,7 @@ impl<S: FenceStrategy> Shard<S> {
         w.limbo.push(LimboEntry {
             retire_epoch,
             table: cur_ptr,
+            replaced,
             bytes: retired_bytes,
         });
         StoreStats::bump(&self.stats.tables_retired);
@@ -434,7 +464,10 @@ impl<S: FenceStrategy> Shard<S> {
     }
 
     /// Apply reclamation rule 6: a limbo table with `retire_epoch = r` is
-    /// still protected iff some visible nonzero pin `p` has `p < r`.
+    /// still protected iff some visible nonzero pin `p` has `p < r`. The
+    /// rule is monotone in `r`, so what it reclaims is always a prefix of
+    /// limbo (oldest first) — the order the shared-chunk argument in the
+    /// module docs needs.
     fn reclaim(&self, w: &mut WriterState, min_pin: Option<u64>) {
         let WriterState {
             limbo, graveyard, ..
@@ -447,11 +480,13 @@ impl<S: FenceStrategy> Shard<S> {
             }
             // SAFETY: the reclamation rule just proved no reader can
             // reach `entry.table` (module docs); each limbo pointer is
-            // reclaimed exactly once because `retain` removes it.
+            // reclaimed exactly once because `retain` removes it. Free
+            // drops only this directory's chunk references; Poison
+            // touches only the chunk no live table shares.
             match mode {
                 ReclaimMode::Free => unsafe { drop(Box::from_raw(entry.table)) },
                 ReclaimMode::Poison => {
-                    unsafe { (*entry.table).poison() };
+                    unsafe { (*entry.table).poison_chunk(entry.replaced) };
                     graveyard.push(entry.table);
                 }
             }
@@ -495,7 +530,7 @@ impl<S: FenceStrategy> std::fmt::Debug for Shard<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::POISON;
+    use crate::table::{CHUNK_ENTRIES, POISON};
     use lbmf::registry::register_current_thread;
     use lbmf::strategy::{SignalFence, Symmetric};
 
@@ -594,6 +629,52 @@ mod tests {
         // The table that *did* hold 3 -> 30 is now poisoned too.
         assert_eq!(shard.stats().tables_reclaimed, 2);
         let _ = POISON; // sentinel value asserted in the table tests
+    }
+
+    #[test]
+    fn poison_mode_poisons_only_the_replaced_chunk() {
+        let shard = Shard::new(
+            Arc::new(Symmetric::new()),
+            ReclaimMode::Poison,
+            4 * CHUNK_ENTRIES,
+        );
+        let slot = slot_for_current_thread();
+        shard.add_reader(slot.clone());
+        let mut expect: Vec<u64> = (0..64).map(|k| k + 1).collect();
+        for (k, &v) in expect.iter().enumerate() {
+            shard.update(k as u64, Some(v));
+        }
+        let (mut poisoned, mut intact) = (0, 0);
+        for round in 0..3u64 {
+            for k in 0..expect.len() {
+                let stale_ptr = shard.current.load(Ordering::Acquire);
+                expect[k] = 1000 * (round + 1) + k as u64;
+                shard.update(k as u64, Some(expect[k]));
+                // No pins: the retired snapshot was reclaimed on the spot.
+                // SAFETY: poison mode never frees; the graveyard owns it.
+                let stale = unsafe { &*stale_ptr };
+                let replaced = stale.chunk_index(k as u64);
+                for (j, &want) in expect.iter().enumerate() {
+                    let j_key = j as u64;
+                    if stale.chunk_index(j_key) == replaced {
+                        assert_eq!(stale.get(j_key), Some(POISON), "replaced chunk, key {j}");
+                        poisoned += 1;
+                    } else {
+                        assert_eq!(stale.get(j_key), Some(want), "shared chunk, key {j}");
+                        intact += 1;
+                    }
+                    assert_eq!(
+                        shard.get(&slot, j_key),
+                        Some(want),
+                        "current table, key {j}"
+                    );
+                }
+            }
+        }
+        assert!(poisoned > 0 && intact > 0, "keys span several chunks");
+        let snap = shard.stats();
+        assert_eq!(snap.tables_reclaimed, snap.tables_retired);
+        shard.remove_reader(&slot);
     }
 
     #[test]

@@ -69,8 +69,10 @@ impl<S: FenceStrategy> Store<S> {
     }
 
     /// Insert or update; returns the previous value. Write-side cost:
-    /// copy-on-write of one shard's table plus — under an asymmetric
-    /// strategy — one remote serialization per registered reader.
+    /// copy-on-write of one chunk of one shard's table (about 8 KiB, see
+    /// [`Table::clone_with`](crate::Table::clone_with)) and of that
+    /// table's chunk directory, plus — under an asymmetric strategy —
+    /// one remote serialization per registered reader.
     pub fn put(&self, key: u64, val: u64) -> Option<u64> {
         self.shards[shard_index(key, self.shards.len())].update(key, Some(val))
     }

@@ -16,6 +16,12 @@
 //!    find the schedule where the reader's pin still sits in its store
 //!    buffer, the writer trusts the stale `pin = 0`, poisons the table
 //!    the reader is probing, and the reader tears.
+//!
+//!    Both claims are checked twice: on a one-chunk table, and on a
+//!    two-chunk table where the write replaces one chunk and shares the
+//!    other. There the reader also probes the shared chunk, which no
+//!    reclamation may poison — so the control's tear must come from the
+//!    replaced chunk alone.
 //! 3. **Purity.** With a recording hook installed on a real thread, one
 //!    `get` on the asymmetric fast path is *exactly* six instrumented
 //!    operations — epoch load, pin store, the compiler-fence yield at
@@ -26,7 +32,7 @@
 use lbmf::hooks::{install, Loc, VtHooks, YieldKind};
 use lbmf::strategy::{FenceStrategy, NoFence, SignalFence, Symmetric};
 use lbmf_check::Explorer;
-use lbmf_store::{ReclaimMode, Store};
+use lbmf_store::{ReclaimMode, Store, Table, CHUNK_ENTRIES};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
@@ -126,6 +132,99 @@ fn store_nofence_failure_is_deterministic() {
     // *schedule* that reaches the tear must not.
     assert_eq!(va.choices, vb.choices);
     assert_eq!(va.message, vb.message);
+}
+
+/// Per-shard capacity of the multi-chunk store: a two-chunk directory.
+const TWO_CHUNKS: usize = 2 * CHUNK_ENTRIES;
+
+/// The [`store_body`] race on a two-chunk table. The prefill puts
+/// `1 -> 100` and `other -> 300`, where `other` lives in the chunk key 1
+/// does not; the writer's `1 -> 200` replaces key 1's chunk and shares
+/// the other one. The reader looks up `other` first, then key 1: the
+/// shared chunk must read 300 in every schedule, key 1 {100, 200}.
+fn multi_chunk_store_body<S, F>(mk: F) -> impl Fn(&lbmf_check::Exec)
+where
+    S: FenceStrategy,
+    F: Fn() -> S,
+{
+    let layout = Table::with_capacity(TWO_CHUNKS);
+    assert_eq!(layout.chunk_count(), 2);
+    let other = (2..)
+        .find(|&k| layout.chunk_index(k) != layout.chunk_index(1))
+        .unwrap();
+    move |exec| {
+        let store = Arc::new(Store::new(
+            Arc::new(mk()),
+            1,
+            TWO_CHUNKS,
+            ReclaimMode::Poison,
+        ));
+        store.put(1, 100);
+        store.put(other, 300);
+
+        let s = store.clone();
+        exec.spawn(move || {
+            let handle = s.handle();
+            let shared = handle.get(other).expect("present in every snapshot");
+            assert_eq!(shared, 300, "a shared chunk was poisoned: {shared:#x}");
+            let v = handle.get(1).expect("key 1 is present in every snapshot");
+            assert!(
+                v == 100 || v == 200,
+                "torn read of a reclaimed snapshot: {v:#x}"
+            );
+        });
+
+        let s = store.clone();
+        exec.spawn(move || {
+            s.put(1, 200);
+        });
+
+        let s = store.clone();
+        exec.validate(move || {
+            assert_eq!(s.len(), 2);
+            let snap = s.stats();
+            assert_eq!(snap.puts, 3, "two prefills + the racing write");
+            assert_eq!(snap.gets, 2);
+        });
+    }
+}
+
+#[test]
+fn multi_chunk_store_symmetric_is_safe_within_preemption_bound_2() {
+    let report = Explorer::dfs(2).seed_override(None).check(
+        "store-2chunk-symmetric",
+        multi_chunk_store_body(Symmetric::new),
+    );
+    report.assert_no_violation();
+    assert!(report.exhausted, "DFS must exhaust the bounded space");
+}
+
+#[test]
+fn multi_chunk_store_signal_fence_is_safe_within_preemption_bound_2() {
+    let report = Explorer::dfs(2).seed_override(None).check(
+        "store-2chunk-signal",
+        multi_chunk_store_body(SignalFence::new),
+    );
+    report.assert_no_violation();
+    assert!(report.exhausted, "DFS must exhaust the bounded space");
+}
+
+#[test]
+fn multi_chunk_store_without_serialization_tears_only_the_replaced_chunk() {
+    let report = Explorer::dfs(2)
+        .seed_override(None)
+        .check("store-2chunk-nofence", multi_chunk_store_body(NoFence::new));
+    let v = report.expect_violation();
+    assert!(
+        v.message.contains("torn read"),
+        "expected the poison-sentinel tear on key 1, got: {}",
+        v.message
+    );
+    assert!(
+        v.trace.contains("buffered"),
+        "the failing trace must show the buffered pin store:\n{}",
+        v.trace
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,12 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test --workspace -q
 
+echo "== e2ebench: the benchmark package builds and passes its own tests =="
+# The benchmark is a cargo workspace of its own (e2ebench/Cargo.toml), so
+# the workspace test run above never builds it, yet it calls the library
+# directly (lbmf_store::Table, Store, the workload generator).
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "== lbmf-check smoke pass (DFS, preemption bound 2, <5s) =="
 cargo run -p lbmf-check --example smoke --release
 
